@@ -100,15 +100,9 @@ from .textindex import (
 )
 from .locks import CATALOG_RESOURCE, EXCLUSIVE, SHARED, LockManager
 from .sessions import Session
-from .expressions import (
-    AGGREGATE_FUNCTIONS,
-    Binding,
-    Env,
-    Evaluator,
-    collect_aggregates,
-    contains_aggregate,
-)
+from .expressions import AGGREGATE_FUNCTIONS, Binding, Env, Evaluator
 from .results import Result
+from .select import Partial, PartialSelect, Pipeline
 from .schema import Catalog, Column, CompatibilityMode, Table, View
 from .sql import ast
 from .sql.lexer import split_statements
@@ -128,6 +122,46 @@ from .values import (
     coerce_value,
 )
 from .datatypes import TypeAttribute
+
+
+#: ``Database.stats`` / ``ShardedDatabase.router_stats`` key -> (name,
+#: unit) of the ``db.*`` counter that mirrors it while observability
+#: is enabled; keys absent here are stats-only.
+MIRRORED_COUNTERS = {
+    "lock_waits": ("db.lock_waits", "waits"),
+    "lock_timeouts": ("db.lock_timeouts", "timeouts"),
+    "deadlocks": ("db.deadlocks", "deadlocks"),
+    "gc_versions_pruned": ("db.gc_versions_pruned", "versions"),
+    "gc_tombstones_pruned": ("db.gc_tombstones_pruned", "rows"),
+    "wal_appends": ("db.wal_appends", "records"),
+    "wal_bytes": ("db.wal_bytes", "bytes"),
+    "group_commit_batches": ("db.group_commit_batches", "batches"),
+    "checkpoints": ("db.checkpoints", "checkpoints"),
+    "snapshot_reads": ("db.snapshot_reads", "statements"),
+    "reader_lock_waits_avoided": ("db.reader_lock_waits_avoided",
+                                  "statements"),
+    "stmt_cache_hits": ("db.stmt_cache.hits", "hits"),
+    "stmt_cache_misses": ("db.stmt_cache.misses", "misses"),
+    "view_cache_hits": ("db.view_cache.hits", "hits"),
+    "view_cache_misses": ("db.view_cache.misses", "misses"),
+    "vector_scans": ("db.vector_scans", "statements"),
+    "index_lookups": ("db.index_lookups", "lookups"),
+    "range_index_lookups": ("db.range_index_lookups", "lookups"),
+    "fulltext_lookups": ("db.fulltext_lookups", "lookups"),
+    "trigram_lookups": ("db.trigram_lookups", "lookups"),
+    "planner_full_scan_fallbacks": ("db.planner_full_scan_fallbacks",
+                                    "scans"),
+    "shard_fanouts": ("db.shard_fanouts", "statements"),
+}
+
+
+def count(stats: dict[str, int], obs: Observability, key: str,
+          n: int = 1) -> None:
+    """Add *n* to ``stats[key]`` and to its mirrored metric, if any."""
+    stats[key] += n
+    mirror = MIRRORED_COUNTERS.get(key) if obs.enabled else None
+    if mirror is not None:
+        obs.metrics.counter(mirror[0], unit=mirror[1]).inc(n)
 
 
 class _Snapshot:
@@ -297,24 +331,18 @@ class Database:
     def _lock_event(self, kind: str, resource: str, mode: str,
                     seconds: float) -> None:
         """Bridge lock-manager contention events into stats/metrics."""
-        key = {"wait": "lock_waits", "timeout": "lock_timeouts",
-               "deadlock": "deadlocks"}[kind]
-        self.stats[key] += 1
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            if kind == "wait":
-                metrics.counter("db.lock_waits", unit="waits").inc()
-                metrics.histogram("db.lock_wait_seconds",
-                                  unit="s").observe(seconds)
-            elif kind == "timeout":
-                metrics.counter("db.lock_timeouts",
-                                unit="timeouts").inc()
-            else:
-                metrics.counter("db.deadlocks", unit="deadlocks").inc()
+        self._count({"wait": "lock_waits", "timeout": "lock_timeouts",
+                     "deadlock": "deadlocks"}[kind])
+        if kind == "wait" and self.obs.enabled:
+            self.obs.metrics.histogram("db.lock_wait_seconds",
+                                       unit="s").observe(seconds)
 
     @property
     def mode(self) -> CompatibilityMode:
         return self.catalog.mode
+
+    def _count(self, key: str, n: int = 1) -> None:
+        count(self.stats, self.obs, key, n)
 
     def reset_stats(self) -> None:
         """Zero the operation counters used by the benchmarks."""
@@ -593,14 +621,8 @@ class Database:
     def _note_gc(self, versions: int, tombstones: int) -> None:
         if not versions and not tombstones:
             return
-        self.stats["gc_versions_pruned"] += versions
-        self.stats["gc_tombstones_pruned"] += tombstones
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("db.gc_versions_pruned",
-                            unit="versions").inc(versions)
-            metrics.counter("db.gc_tombstones_pruned",
-                            unit="rows").inc(tombstones)
+        self._count("gc_versions_pruned", versions)
+        self._count("gc_tombstones_pruned", tombstones)
 
     def mvcc_info(self) -> dict:
         """A point-in-time summary of the version store (for tests,
@@ -729,24 +751,17 @@ class Database:
                                                              statements))
                 self._commit_seq = seq
                 self._commits_since_checkpoint += 1
-        self.stats["wal_appends"] += 1
-        self.stats["wal_bytes"] += written
-        if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("db.wal_appends", unit="records").inc()
-            metrics.counter("db.wal_bytes", unit="bytes").inc(written)
+        self._count("wal_appends")
+        self._count("wal_bytes", written)
 
     def _group_batch_written(self, size: int) -> None:
         """Stats hook: one group-commit batch of *size* records went
         durable with a single append+fsync."""
-        self.stats["group_commit_batches"] += 1
-        self.stats["group_commit_records"] += size
+        self._count("group_commit_batches")
+        self._count("group_commit_records", size)
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.counter("db.group_commit_batches",
-                            unit="batches").inc()
-            metrics.histogram("db.group_commit_batch_size",
-                              unit="records").observe(size)
+            self.obs.metrics.histogram("db.group_commit_batch_size",
+                                       unit="records").observe(size)
 
     def checkpoint(self) -> dict:
         """Snapshot the database durably and truncate the WAL.
@@ -778,10 +793,7 @@ class Database:
                     info = checkpoints.write_checkpoint(self)
                     self.wal.truncate()
                     self._commits_since_checkpoint = 0
-        self.stats["checkpoints"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("db.checkpoints",
-                                     unit="checkpoints").inc()
+        self._count("checkpoints")
         return info
 
     def _maybe_autocheckpoint(self) -> None:
@@ -816,6 +828,11 @@ class Database:
         *session* selects whose transaction and locks the statement
         runs under; None means the database's implicit default
         session (single-threaded legacy behaviour).
+
+        A :class:`~repro.ordb.select.PartialSelect` request runs as
+        the SELECT it wraps and returns that SELECT's
+        :class:`~repro.ordb.select.Partial` — the shard router merges
+        those and finalises the Result itself.
         """
         if not self.obs.enabled:
             return self._execute(statement, session)
@@ -853,6 +870,10 @@ class Database:
         if isinstance(statement, str):
             self.faults.hit("parse", sql=statement)
             statement = self._parse_cached(statement)
+        # a shard leg of a scatter-gather: runs as the SELECT it wraps
+        partial = isinstance(statement, PartialSelect)
+        if partial:
+            statement = statement.query
         self.stats["statements"] += 1
         handled = self._handle_transaction_control(statement, session)
         if handled is not None:
@@ -909,35 +930,29 @@ class Database:
                     self._active_snapshot = snap
                 try:
                     return self._execute_body(statement, session,
-                                              source)
+                                              source, partial)
                 finally:
                     self._statement_deadline = previous
                     self._active_session = None
                     if snap is not None:
                         self._active_snapshot = None
                     if snap is not None and snapshot_read:
-                        self.stats["snapshot_reads"] += 1
+                        self._count("snapshot_reads")
                         if snap.saw_pending:
-                            self.stats["reader_lock_waits_avoided"] += 1
-                        if self.obs.enabled:
-                            self.obs.metrics.counter(
-                                "db.snapshot_reads",
-                                unit="statements").inc()
-                            if snap.saw_pending:
-                                self.obs.metrics.counter(
-                                    "db.reader_lock_waits_avoided",
-                                    unit="statements").inc()
+                            self._count("reader_lock_waits_avoided")
         finally:
             if session.txn is None:  # autocommit: statement-duration
                 self.locks.release_all(session.sid)
 
     def _execute_body(self, statement: ast.Statement,
                       session: Session,
-                      source: str | ast.Statement | None = None
-                      ) -> Result:
+                      source: str | ast.Statement | None = None,
+                      partial: bool = False) -> Result | Partial:
         """The statement body; runs under the engine latch."""
         if isinstance(statement, ast.SelectStmt):
             self.stats["selects"] += 1
+            if partial:
+                return self._select_partial(Pipeline(statement), None)
             return self.execute_select(statement, None)
         handler = self._HANDLERS.get(type(statement))
         if handler is None:  # pragma: no cover - parser prevents this
@@ -1163,18 +1178,12 @@ class Database:
         with self._stmt_cache_lock:
             cached = self._statement_cache.get(sql)
             if cached is not None:
-                self.stats["stmt_cache_hits"] += 1
-                if self.obs.enabled:
-                    self.obs.metrics.counter("db.stmt_cache.hits",
-                                             unit="hits").inc()
+                self._count("stmt_cache_hits")
                 # refresh recency: dicts preserve insertion order
                 self._statement_cache.pop(sql)
                 self._statement_cache[sql] = cached
                 return cached
-            self.stats["stmt_cache_misses"] += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("db.stmt_cache.misses",
-                                         unit="misses").inc()
+            self._count("stmt_cache_misses")
         parsed = parse_statement(sql)
         with self._stmt_cache_lock:
             if sql not in self._statement_cache:
@@ -2029,48 +2038,26 @@ class Database:
     def execute_select(self, statement: ast.SelectStmt,
                        outer_env: Env | None,
                        limit: int | None = None) -> Result:
+        pipeline = Pipeline(statement)
+        return pipeline.finalise(
+            self._select_partial(pipeline, outer_env, limit),
+            self.evaluator)
+
+    def _select_partial(self, pipeline: Pipeline, outer_env: Env | None,
+                        limit: int | None = None) -> Partial:
+        """Enumerate the qualifying rows and hand them to *pipeline*
+        (repro.ordb.select owns everything after enumeration)."""
+        statement = pipeline.statement
         if statement.fetch_first is not None:
-            # FETCH FIRST is an engine limit: the slice below runs
-            # after ORDER BY, and row enumeration only short-circuits
-            # when no ordering/grouping forces full materialization
+            # row enumeration only short-circuits when no ordering or
+            # grouping forces full materialization
             fetch = statement.fetch_first
             limit = fetch if limit is None else min(limit, fetch)
         if select_scans_vectors(statement):
-            self.stats["vector_scans"] += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("db.vector_scans",
-                                         unit="statements").inc()
-        aggregates: list[ast.FunctionCall] = []
-        for item in statement.items:
-            if not isinstance(item.expression, ast.Star):
-                collect_aggregates(item.expression, aggregates)
-        if statement.having is not None:
-            collect_aggregates(statement.having, aggregates)
-        grouped = bool(aggregates or statement.group_by)
-        # aggregates consume every qualifying row, so the limit may
-        # only trim the grouped output — never the enumeration
-        # feeding the aggregates
+            self._count("vector_scans")
         environments = self._enumerate_rows(
-            statement, outer_env, None if grouped else limit)
-        if grouped:
-            result = self._grouped_result(statement, environments,
-                                          aggregates)
-            if limit is not None:
-                result.rows = result.rows[:limit]
-            return result
-        columns, rows = self._project(statement, environments)
-        if statement.distinct:
-            # DISTINCT collapses rows, so per-row environments no
-            # longer line up; ORDER BY falls back to output columns
-            # only (Oracle's ORA-01791 restriction)
-            rows = _distinct(rows)
-            rows = self._order(statement, columns, rows,
-                               environments=None)
-        else:
-            rows = self._order(statement, columns, rows, environments)
-        if limit is not None:
-            rows = rows[:limit]
-        return Result(columns, rows)
+            statement, outer_env, None if pipeline.grouped else limit)
+        return pipeline.partial(environments, self.evaluator)
 
     def _enumerate_rows(self, statement: ast.SelectStmt,
                         outer_env: Env | None,
@@ -2185,10 +2172,7 @@ class Database:
         rows = probe.index.lookup(tuple(values))
         if rows is None:
             return None
-        self.stats["index_lookups"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("db.index_lookups",
-                                     unit="lookups").inc()
+        self._count("index_lookups")
         return rows
 
     def _range_probe_rows(self, probe: RangeProbeSpec,
@@ -2214,10 +2198,7 @@ class Database:
                                             probe.high_inclusive)
         if rows is None:
             return None
-        self.stats["range_index_lookups"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("db.range_index_lookups",
-                                     unit="lookups").inc()
+        self._count("range_index_lookups")
         return rows
 
     def _fulltext_probe_rows(self, probe: FullTextProbeSpec
@@ -2226,10 +2207,7 @@ class Database:
         lists per AND-group, unioned across OR-groups (the residual
         CONTAINS check still runs per row)."""
         rows = probe.index.lookup(probe.groups)
-        self.stats["fulltext_lookups"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("db.fulltext_lookups",
-                                     unit="lookups").inc()
+        self._count("fulltext_lookups")
         return rows
 
     def _trigram_probe_rows(self, probe: TrigramProbeSpec
@@ -2237,10 +2215,7 @@ class Database:
         """Candidate rows of a trigram LIKE probe; an absent trigram
         proves no row can match (the planner priced that at zero)."""
         rows = probe.index.lookup(probe.trigrams)
-        self.stats["trigram_lookups"] += 1
-        if self.obs.enabled:
-            self.obs.metrics.counter("db.trigram_lookups",
-                                     unit="lookups").inc()
+        self._count("trigram_lookups")
         return rows
 
     def _execute_probe(self, probe, env: Env) -> list[Row] | None:
@@ -2298,11 +2273,7 @@ class Database:
                     # an index could have served this level but the
                     # planner priced it out (or its probe value was
                     # unkeyable at runtime) — observable as a fallback
-                    self.stats["planner_full_scan_fallbacks"] += 1
-                    if self.obs.enabled:
-                        self.obs.metrics.counter(
-                            "db.planner_full_scan_fallbacks",
-                            unit="scans").inc()
+                    self._count("planner_full_scan_fallbacks")
                 if snap is not None and table.data.tombstones:
                     # versioned live rows are already in the scan;
                     # deleted ones survive only as tombstones
@@ -2378,18 +2349,18 @@ class Database:
         if snap is None:
             cached = self._view_cache.get(view.key)
             if cached is not None and cached[0] == self._data_version:
-                self._count_view_cache(hit=True)
+                self._count("view_cache_hits")
                 return cached[1]
-            self._count_view_cache(hit=False)
+            self._count("view_cache_misses")
             result = self.execute_select(view.query, None)
             self._view_cache[view.key] = (self._data_version, result)
             return result
         if snap.cacheable:
             cached = self._snap_view_cache.get((view.key, snap.ts))
             if cached is not None and cached[0] is view.query:
-                self._count_view_cache(hit=True)
+                self._count("view_cache_hits")
                 return cached[1]
-        self._count_view_cache(hit=False)
+        self._count("view_cache_misses")
         result = self.execute_select(view.query, None)
         if snap.cacheable:
             if len(self._snap_view_cache) >= self.STATEMENT_CACHE_SIZE:
@@ -2398,18 +2369,6 @@ class Database:
             self._snap_view_cache[(view.key, snap.ts)] = (view.query,
                                                           result)
         return result
-
-    def _count_view_cache(self, hit: bool) -> None:
-        if hit:
-            self.stats["view_cache_hits"] += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("db.view_cache.hits",
-                                         unit="hits").inc()
-        else:
-            self.stats["view_cache_misses"] += 1
-            if self.obs.enabled:
-                self.obs.metrics.counter("db.view_cache.misses",
-                                         unit="misses").inc()
 
     def _view_bindings(self, view: View, alias: str | None):
         result = self._view_result(view)
@@ -2420,58 +2379,7 @@ class Database:
         for row in result.rows:
             yield Binding(alias_key, dict(zip(keys, row)))
 
-    # -- projection -----------------------------------------------------------------------------
-
-    def _project(self, statement: ast.SelectStmt,
-                 environments: list[Env]) -> tuple[list[str], list[tuple]]:
-        columns = self._output_columns(statement, environments)
-        rows: list[tuple] = []
-        for env in environments:
-            values: list[object] = []
-            for item in statement.items:
-                if isinstance(item.expression, ast.Star):
-                    values.extend(self._star_values(item.expression, env))
-                else:
-                    values.append(self.evaluator.eval(item.expression,
-                                                      env))
-            rows.append(tuple(values))
-        return columns, rows
-
-    def _output_columns(self, statement: ast.SelectStmt,
-                        environments: list[Env]) -> list[str]:
-        columns: list[str] = []
-        for index, item in enumerate(statement.items):
-            if isinstance(item.expression, ast.Star):
-                columns.extend(self._star_columns(item.expression,
-                                                  statement,
-                                                  environments))
-                continue
-            if item.alias is not None:
-                columns.append(item.alias.upper())
-            else:
-                columns.append(_derive_column_name(item.expression,
-                                                   index))
-        return columns
-
-    def _star_columns(self, star: ast.Star, statement: ast.SelectStmt,
-                      environments: list[Env]) -> list[str]:
-        if environments:
-            frames = environments[0].frames
-        else:
-            frames = [
-                binding for item in statement.from_items
-                for binding in self._empty_binding(item)
-            ]
-        names: list[str] = []
-        for frame in frames:
-            if (star.qualifier is not None
-                    and frame.alias_key
-                    != identifiers.normalize(star.qualifier)):
-                continue
-            names.extend(frame.columns.keys())
-        return names
-
-    def _empty_binding(self, item: ast.FromItem) -> list[Binding]:
+    def empty_binding(self, item: ast.FromItem) -> list[Binding]:
         """Synthesize a zero-row binding so ``SELECT *`` on an empty
         table still reports column names."""
         if isinstance(item, ast.TableRef):
@@ -2489,127 +2397,6 @@ class Database:
                 identifiers.normalize(item.alias or item.name),
                 {column.key: None for column in table.columns}, table)]
         return []
-
-    def _star_values(self, star: ast.Star, env: Env) -> list[object]:
-        values: list[object] = []
-        for frame in env.frames:
-            if (star.qualifier is not None
-                    and frame.alias_key
-                    != identifiers.normalize(star.qualifier)):
-                continue
-            values.extend(frame.columns.values())
-        return values
-
-    # -- grouping -----------------------------------------------------------------------------
-
-    def _grouped_result(self, statement: ast.SelectStmt,
-                        environments: list[Env],
-                        aggregates: list[ast.FunctionCall]) -> Result:
-        groups: list[tuple[tuple, list[Env]]] = []
-        index_by_key: dict[tuple, int] = {}
-        if statement.group_by:
-            for env in environments:
-                key = tuple(
-                    _hashable(self.evaluator.eval(expression, env))
-                    for expression in statement.group_by)
-                position = index_by_key.get(key)
-                if position is None:
-                    index_by_key[key] = len(groups)
-                    groups.append((key, [env]))
-                else:
-                    groups[position][1].append(env)
-        else:
-            groups.append(((), environments))
-
-        columns = [
-            item.alias.upper() if item.alias is not None
-            else _derive_column_name(item.expression, index)
-            for index, item in enumerate(statement.items)
-        ]
-        rows: list[tuple] = []
-        for _key, members in groups:
-            values = self._aggregate_values(aggregates, members)
-            self.evaluator.aggregate_values = values
-            try:
-                representative = (members[0] if members
-                                  else Env([], None))
-                if statement.having is not None:
-                    verdict = self.evaluator.eval_predicate(
-                        statement.having, representative)
-                    if verdict is not True:
-                        continue
-                row = tuple(
-                    self.evaluator.eval(item.expression, representative)
-                    for item in statement.items)
-            finally:
-                self.evaluator.aggregate_values = None
-            rows.append(row)
-        rows = self._order(statement, columns, rows, environments=None)
-        return Result(columns, rows)
-
-    def _aggregate_values(self, aggregates: list[ast.FunctionCall],
-                          members: list[Env]) -> dict:
-        values: dict[ast.FunctionCall, object] = {}
-        for aggregate in aggregates:
-            name = aggregate.name.upper()
-            if (name == "COUNT" and aggregate.arguments
-                    and isinstance(aggregate.arguments[0], ast.Star)):
-                values[aggregate] = len(members)
-                continue
-            if not aggregate.arguments:
-                raise NotSupported(f"{name} requires an argument")
-            samples = []
-            for env in members:
-                value = self.evaluator.eval(aggregate.arguments[0], env)
-                if value is not None:
-                    samples.append(value)
-            if aggregate.distinct:
-                samples = _distinct_values(samples)
-            values[aggregate] = _fold_aggregate(name, samples)
-        return values
-
-    # -- ordering -----------------------------------------------------------------------------
-
-    def _order(self, statement: ast.SelectStmt, columns: list[str],
-               rows: list[tuple], environments: list[Env] | None
-               ) -> list[tuple]:
-        """Sort *rows*; *environments* (parallel to *rows*, or None)
-        lets ORDER BY evaluate expressions that are not output
-        columns against the originating row."""
-        if not statement.order_by:
-            return rows
-        keyed = []
-        for position, row in enumerate(rows):
-            env = (environments[position]
-                   if environments is not None else None)
-            keys = []
-            for order_item in statement.order_by:
-                value = self._order_value(order_item.expression, columns,
-                                          row, env)
-                keys.append(_SortKey(value, order_item.ascending))
-            keyed.append((keys, row))
-        keyed.sort(key=lambda pair: pair[0])
-        return [row for _keys, row in keyed]
-
-    def _order_value(self, expression: ast.Expr, columns: list[str],
-                     row: tuple, env: Env | None = None) -> object:
-        if isinstance(expression, ast.Literal) and isinstance(
-                expression.value, int):
-            position = expression.value
-            if not 1 <= position <= len(row):
-                raise NoSuchColumn(
-                    f"ORDER BY position {position} out of range")
-            return row[position - 1]
-        if isinstance(expression, ast.ColumnPath) and len(
-                expression.parts) == 1:
-            wanted = expression.parts[0].upper()
-            for index, column in enumerate(columns):
-                if column.upper() == wanted:
-                    return row[index]
-        if env is not None:
-            return self.evaluator.eval(expression, env)
-        raise NotSupported(
-            "ORDER BY supports output column names and positions")
 
     _HANDLERS = {}
 
@@ -2722,91 +2509,3 @@ def _analyze_references(expression: ast.Expr,
                 or _analyze_references(expression.default, heads))
     # subqueries, EXISTS, CAST MULTISET, stars: not pushable
     return False
-
-
-class _SortKey:
-    """Order NULLs last (ASC), honour direction, across mixed types."""
-
-    __slots__ = ("value", "ascending")
-
-    def __init__(self, value: object, ascending: bool):
-        self.value = value
-        self.ascending = ascending
-
-    def __lt__(self, other: "_SortKey") -> bool:
-        a, b = self.value, other.value
-        if a is None and b is None:
-            return False
-        if a is None:
-            return not self.ascending
-        if b is None:
-            return self.ascending
-        try:
-            less = a < b
-        except TypeError:
-            less = str(a) < str(b)
-        return less if self.ascending else not less
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _SortKey) and self.value == other.value
-
-
-def _derive_column_name(expression: ast.Expr, index: int) -> str:
-    if isinstance(expression, ast.ColumnPath):
-        return expression.parts[-1].upper()
-    if isinstance(expression, ast.AttributeAccess):
-        return expression.attribute.upper()
-    if isinstance(expression, ast.FunctionCall):
-        return expression.name.upper()
-    return f"EXPR{index + 1}"
-
-
-def _distinct(rows: list[tuple]) -> list[tuple]:
-    unique: list[tuple] = []
-    for row in rows:
-        if row not in unique:
-            unique.append(row)
-    return unique
-
-
-def _distinct_values(values: list[object]) -> list[object]:
-    unique: list[object] = []
-    for value in values:
-        if value not in unique:
-            unique.append(value)
-    return unique
-
-
-def _fold_aggregate(name: str, samples: list[object]) -> object:
-    if name == "COUNT":
-        return len(samples)
-    if not samples:
-        return None
-    if name == "MIN":
-        return min(samples)
-    if name == "MAX":
-        return max(samples)
-    from .expressions import _as_number
-
-    numbers = [_as_number(sample) for sample in samples]
-    total = sum(numbers)
-    if name == "SUM":
-        return total
-    assert name == "AVG"
-    from decimal import Decimal
-
-    return Decimal(total) / Decimal(len(numbers))
-
-
-def _hashable(value: object) -> object:
-    from .values import render_value
-
-    try:
-        hash(value)
-    except TypeError:  # pragma: no cover - defensive
-        return render_value(value)
-    if isinstance(value, (ObjectValue, CollectionValue)):
-        return render_value(value)
-    return value
-
-

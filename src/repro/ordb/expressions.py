@@ -14,6 +14,7 @@ values on the way (Section 2.3).
 
 from __future__ import annotations
 
+import dataclasses
 import datetime
 import re
 import threading
@@ -96,66 +97,50 @@ class Env:
 EMPTY_ENV = Env([])
 
 
+#: per expression node type, its fields that hold expressions (going
+#: by their annotations), last first; leaves map to ()
+_EXPRESSION_FIELDS = {
+    node_type: tuple(field.name
+                     for field in reversed(dataclasses.fields(node_type))
+                     if "Expr" in field.type)
+    for node_type in ast.Expr.__subclasses__()}
+
+
+def sub_expressions(node: ast.Expr) -> list[ast.Expr]:
+    """The expressions directly under *node*, left to right
+    (subqueries are opaque: a SELECT is not an expression)."""
+    found: list[ast.Expr] = []
+    pending = [getattr(node, name)
+               for name in _EXPRESSION_FIELDS[type(node)]]
+    while pending:
+        value = pending.pop()
+        if isinstance(value, ast.Expr):
+            found.append(value)
+        elif isinstance(value, tuple):
+            pending.extend(reversed(value))
+    return found
+
+
+def is_aggregate(expression: ast.Expr) -> bool:
+    return (isinstance(expression, ast.FunctionCall)
+            and expression.name.upper() in AGGREGATE_FUNCTIONS)
+
+
 def contains_aggregate(expression: ast.Expr) -> bool:
     """True if *expression* contains an aggregate function call."""
-    if isinstance(expression, ast.FunctionCall):
-        if expression.name.upper() in AGGREGATE_FUNCTIONS:
-            return True
-        return any(contains_aggregate(a) for a in expression.arguments)
-    if isinstance(expression, ast.BinaryOp):
-        return (contains_aggregate(expression.left)
-                or contains_aggregate(expression.right))
-    if isinstance(expression, ast.UnaryOp):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.AttributeAccess):
-        return contains_aggregate(expression.base)
-    if isinstance(expression, ast.CaseWhen):
-        for condition, value in expression.branches:
-            if contains_aggregate(condition) or contains_aggregate(value):
-                return True
-        return (expression.default is not None
-                and contains_aggregate(expression.default))
-    if isinstance(expression, (ast.IsNull, ast.Cast)):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, ast.Like):
-        return (contains_aggregate(expression.operand)
-                or contains_aggregate(expression.pattern)
-                or (expression.escape is not None
-                    and contains_aggregate(expression.escape)))
-    if isinstance(expression, ast.Between):
-        return contains_aggregate(expression.operand)
-    if isinstance(expression, (ast.InList, ast.InSubquery)):
-        return contains_aggregate(expression.operand)
-    return False
+    return is_aggregate(expression) or any(
+        contains_aggregate(child)
+        for child in sub_expressions(expression))
 
 
 def collect_aggregates(expression: ast.Expr,
                        out: list[ast.FunctionCall]) -> None:
     """Collect aggregate call nodes in *expression* into *out*."""
-    if isinstance(expression, ast.FunctionCall):
-        if expression.name.upper() in AGGREGATE_FUNCTIONS:
-            if expression not in out:
-                out.append(expression)
-            return
-        for argument in expression.arguments:
-            collect_aggregates(argument, out)
-    elif isinstance(expression, ast.BinaryOp):
-        collect_aggregates(expression.left, out)
-        collect_aggregates(expression.right, out)
-    elif isinstance(expression, ast.UnaryOp):
-        collect_aggregates(expression.operand, out)
-    elif isinstance(expression, ast.AttributeAccess):
-        collect_aggregates(expression.base, out)
-    elif isinstance(expression, ast.CaseWhen):
-        for condition, value in expression.branches:
-            collect_aggregates(condition, out)
-            collect_aggregates(value, out)
-        if expression.default is not None:
-            collect_aggregates(expression.default, out)
-    elif isinstance(expression, (ast.IsNull, ast.Cast, ast.Like,
-                                 ast.Between, ast.InList,
-                                 ast.InSubquery)):
-        collect_aggregates(expression.operand, out)
+    if not is_aggregate(expression):
+        for child in sub_expressions(expression):
+            collect_aggregates(child, out)
+    elif expression not in out:
+        out.append(expression)
 
 
 class Evaluator:
@@ -164,9 +149,6 @@ class Evaluator:
     def __init__(self, engine):
         self.engine = engine
         self.catalog = engine.catalog
-        #: aggregate node -> computed value, set by the engine while
-        #: projecting grouped results.
-        self.aggregate_values: dict[ast.FunctionCall, object] | None = None
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -417,9 +399,8 @@ class Evaluator:
                            env: Env) -> object:
         name = expression.name.upper()
         if name in AGGREGATE_FUNCTIONS:
-            if (self.aggregate_values is not None
-                    and expression in self.aggregate_values):
-                return self.aggregate_values[expression]
+            # repro.ordb.select substitutes finished aggregates before
+            # a select list or HAVING reaches this evaluator
             raise NotSupported(
                 f"aggregate {name} not allowed in this context")
         if name == "REF":

@@ -17,19 +17,19 @@ checkpoints and recovery, and merges query results at the router:
   co-partitioned data co-partitioned.
 * **UPDATE / DELETE** route to the pinned shard, else broadcast with
   summed rowcounts.
-* **SELECT** routes to the pinned shard, else scatter-gathers: the
-  router merges ORDER BY (re-sorting on shard-computed key columns),
-  FETCH FIRST (pushed down per shard, re-applied after the merge),
-  DISTINCT, and aggregates (decomposed into per-shard partials —
-  COUNT/SUM sum, MIN/MAX fold, AVG recombines SUM and COUNT partials
-  — including GROUP BY merges on the group key).
+* **SELECT** routes to the pinned shard, else scatter-gathers: every
+  shard answers with its :class:`~repro.ordb.select.Partial` of the
+  statement, and the router merges and finalises them with the code a
+  single engine runs (:mod:`repro.ordb.select`) — grouping,
+  aggregates, HAVING, DISTINCT, ORDER BY and FETCH FIRST have no
+  router-side implementation of their own.
 
 Joins are only meaningful when the joined rows are co-partitioned —
 true for every document-local query the paper's mapping produces,
-since one document's rows always land on one shard.  Cross-shard
-HAVING, DISTINCT aggregates and subqueries raise
-:class:`~repro.ordb.errors.NotSupported` rather than return silently
-wrong answers (pin a document to run them shard-locally).
+since one document's rows always land on one shard.  A cross-shard
+subquery would see only its own shard's rows, so it raises
+:class:`~repro.ordb.errors.NotSupported` rather than return a
+silently wrong answer (pin a document to run it shard-locally).
 
 A durable router (``path=...``) keeps a *router journal* — the
 ordered statement log that :meth:`ShardedDatabase.rebalance` replays
@@ -44,7 +44,7 @@ beside a small manifest recording the shard count and generation.
 >>> with db.pin_document(2):
 ...     _ = db.execute("INSERT INTO T VALUES(2)")
 >>> db.execute("SELECT SUM(t.a) FROM T t").scalar()  # scatter-gather
-3
+Decimal('3')
 """
 
 from __future__ import annotations
@@ -58,29 +58,23 @@ import pickle
 import shutil
 import threading
 import zlib
-from decimal import Decimal
 from pathlib import Path
 from typing import Callable, Iterator
 
 from repro.obs import Observability
 
 from .checkpoint import verify_integrity
-from .engine import (
-    Database,
-    _derive_column_name,
-    _distinct,
-    _hashable,
-    _SortKey,
-)
+from .engine import Database, count
 from .errors import (
     NoSuchSavepoint,
     NotSupported,
     TransactionError,
 )
-from .expressions import AGGREGATE_FUNCTIONS, collect_aggregates
+from .expressions import Evaluator
 from .faults import SITES, Fault, FaultEvent, FaultInjector
 from .results import Result
 from .schema import CompatibilityMode
+from .select import Partial, PartialSelect, Pipeline
 from .sessions import Session
 from .sql import ast
 from .sql.lexer import split_statements
@@ -384,6 +378,9 @@ class ShardedDatabase:
             for key, value in shard_db.stats.items():
                 merged[key] = merged.get(key, 0) + value
         return merged
+
+    def _count(self, key: str, n: int = 1) -> None:
+        count(self.router_stats, self._obs, key, n)
 
     def _reset_router_stats(self) -> None:
         self.router_stats = {
@@ -732,7 +729,8 @@ class ShardedSession:
         return sub
 
     def _dispatch(self, index: int,
-                  statement: ast.Statement) -> Result:
+                  statement: ast.Statement | PartialSelect
+                  ) -> Result | Partial:
         # the router→shard "network" hop; arm("net", shard=i) fires here
         self.router.faults.hit("net", shard=index, op="dispatch",
                                session=self.name)
@@ -828,7 +826,7 @@ class ShardedSession:
                    source: str | ast.Statement, kind: str) -> Result:
         router = self.router
         router.router_stats["broadcasts"] += 1
-        self._count_fanout()
+        router._count("shard_fanouts")
         entry = (kind, source)
         if self._txn:
             results = [self._dispatch(i, statement)
@@ -859,13 +857,6 @@ class ShardedSession:
             message = results[0].message
         return Result(rowcount=total, message=message)
 
-    def _count_fanout(self) -> None:
-        router = self.router
-        router.router_stats["shard_fanouts"] += 1
-        if router.obs.enabled:
-            router.obs.metrics.counter("db.shard_fanouts",
-                                       unit="statements").inc()
-
     # -- scatter-gather SELECT ---------------------------------------------------------
 
     def _scatter_select(self, statement: ast.SelectStmt) -> Result:
@@ -873,292 +864,15 @@ class ShardedSession:
             raise NotSupported(
                 "cross-shard subqueries are not supported; pin a"
                 " document (pin_document) to run shard-locally")
-        self._count_fanout()
-        aggregates: list[ast.FunctionCall] = []
-        for item in statement.items:
-            if not isinstance(item.expression, ast.Star):
-                collect_aggregates(item.expression, aggregates)
-        if aggregates or statement.group_by:
-            if statement.having is not None:
-                raise NotSupported(
-                    "cross-shard HAVING is not supported")
-            return self._merge_grouped(statement)
-        return self._merge_plain(statement)
-
-    def _gather(self, statement: ast.SelectStmt) -> list[Result]:
-        return [self._dispatch(i, statement)
-                for i in range(self.router.n_shards)]
-
-    def _merge_plain(self, statement: ast.SelectStmt) -> Result:
-        # Per ORDER BY item, how the router re-sorts merged rows:
-        #   ("pos", i)    — by output column i (resolved here);
-        #   ("name", s)   — by output column named s (resolved against
-        #                   the shard result, for SELECT * items);
-        #   ("hidden", j) — by the j-th shard-computed key column the
-        #                   router appends to the projection.
-        keymap: list[tuple[str, object]] = []
-        hidden: list[ast.Expr] = []
-        has_star = any(isinstance(item.expression, ast.Star)
-                       for item in statement.items)
-        names = None if has_star else [
-            item.alias.upper() if item.alias is not None
-            else _derive_column_name(item.expression, index)
-            for index, item in enumerate(statement.items)]
-        for order_item in statement.order_by:
-            expression = order_item.expression
-            if isinstance(expression, ast.Literal) and isinstance(
-                    expression.value, int):
-                keymap.append(("pos", expression.value - 1))
-                continue
-            if isinstance(expression, ast.ColumnPath) \
-                    and len(expression.parts) == 1:
-                wanted = expression.parts[0].upper()
-                if names is not None and wanted in names:
-                    keymap.append(("pos", names.index(wanted)))
-                    continue
-                if names is None:
-                    # SELECT *: the name resolves against the
-                    # star-expanded shard columns at merge time
-                    keymap.append(("name", wanted))
-                    continue
-            if statement.distinct:
-                # mirror the engine: DISTINCT restricts ORDER BY to
-                # output columns — dispatch unmodified and let the
-                # shard raise its ORA-01791 error
-                return self._finish_plain(statement, statement,
-                                          keymap=None, hidden=())
-            keymap.append(("hidden", len(hidden)))
-            hidden.append(expression)
-        shard_stmt = statement
-        if hidden:
-            extra = tuple(
-                ast.SelectItem(expression, alias=f"__ORD{index}")
-                for index, expression in enumerate(hidden))
-            shard_stmt = dataclasses.replace(
-                statement, items=statement.items + extra)
-        if statement.order_by and statement.fetch_first is None:
-            # the router re-sorts anyway; skip the per-shard sort
-            # (kept when FETCH FIRST pushes a top-k down)
-            shard_stmt = dataclasses.replace(shard_stmt, order_by=())
-        return self._finish_plain(statement, shard_stmt, keymap,
-                                  tuple(hidden))
-
-    def _finish_plain(self, statement: ast.SelectStmt,
-                      shard_stmt: ast.SelectStmt,
-                      keymap: list[tuple[str, object]] | None,
-                      hidden: tuple) -> Result:
-        results = self._gather(shard_stmt)
-        n_hidden = len(hidden)
-        shard_columns = results[0].columns
-        columns = (shard_columns[:len(shard_columns) - n_hidden]
-                   if n_hidden else list(shard_columns))
-        rows: list[tuple] = []
-        for result in results:
-            rows.extend(result.rows)
-        if statement.distinct:
-            rows = _distinct(rows)
-        if statement.order_by and keymap is not None:
-            resolved: list[tuple[str, int]] = []
-            for kind, value in keymap:
-                if kind == "name":
-                    matches = [index for index, column
-                               in enumerate(columns)
-                               if column.upper() == value]
-                    if not matches:
-                        raise NotSupported(
-                            f"ORDER BY column {value} is not in the"
-                            " scatter-gathered output")
-                    resolved.append(("pos", matches[0]))
-                elif kind == "hidden":
-                    resolved.append(
-                        ("pos", len(shard_columns) - n_hidden + value))
-                else:
-                    resolved.append((kind, value))
-            order_by = statement.order_by
-
-            def sort_key(row: tuple) -> list[_SortKey]:
-                return [
-                    _SortKey(row[index], order_item.ascending)
-                    for (_kind, index), order_item
-                    in zip(resolved, order_by)]
-
-            rows.sort(key=sort_key)
-        if n_hidden:
-            width = len(shard_columns) - n_hidden
-            rows = [row[:width] for row in rows]
-        if statement.fetch_first is not None:
-            rows = rows[:statement.fetch_first]
-        return Result(columns, rows)
-
-    def _merge_grouped(self, statement: ast.SelectStmt) -> Result:
-        group_exprs = list(statement.group_by)
-        # Per output item: ("key", group index) or ("agg", spec) where
-        # spec = (fold kind, partial column index or (sum, count)).
-        plans: list[tuple[str, object]] = []
-        partial_items = [
-            ast.SelectItem(expression, alias=f"__K{index}")
-            for index, expression in enumerate(group_exprs)]
-        next_column = len(group_exprs)
-        for item in statement.items:
-            expression = item.expression
-            key_index = self._group_key_index(expression, group_exprs)
-            if key_index is not None:
-                plans.append(("key", key_index))
-                continue
-            if (isinstance(expression, ast.FunctionCall)
-                    and expression.name.upper() in AGGREGATE_FUNCTIONS
-                    and not expression.distinct):
-                name = expression.name.upper()
-                if name == "AVG":
-                    argument = expression.arguments[0]
-                    partial_items.append(ast.SelectItem(
-                        ast.FunctionCall("SUM", (argument,)),
-                        alias=f"__P{next_column}"))
-                    partial_items.append(ast.SelectItem(
-                        ast.FunctionCall("COUNT", (argument,)),
-                        alias=f"__P{next_column + 1}"))
-                    plans.append(("agg", ("avg",
-                                          (next_column,
-                                           next_column + 1))))
-                    next_column += 2
-                else:
-                    partial_items.append(ast.SelectItem(
-                        expression, alias=f"__P{next_column}"))
-                    fold = {"COUNT": "sum", "SUM": "sum_nullable",
-                            "MIN": "min", "MAX": "max"}[name]
-                    plans.append(("agg", (fold, next_column)))
-                    next_column += 1
-                continue
-            raise NotSupported(
-                "cross-shard aggregates support plain COUNT/SUM/MIN/"
-                "MAX/AVG and group keys only; pin a document"
-                " (pin_document) to run shard-locally")
-        partial = dataclasses.replace(
-            statement, items=tuple(partial_items), order_by=(),
-            fetch_first=None, distinct=False, having=None)
-        results = self._gather(partial)
-        n_keys = len(group_exprs)
-        merged: dict[tuple, tuple[tuple, list[list]]] = {}
-        order: list[tuple] = []
-        for result in results:
-            for row in result.rows:
-                key = tuple(_hashable(value) for value in row[:n_keys])
-                slot = merged.get(key)
-                if slot is None:
-                    slot = (row[:n_keys],
-                            [[] for _ in range(len(row) - n_keys)])
-                    merged[key] = slot
-                    order.append(key)
-                for index, value in enumerate(row[n_keys:]):
-                    slot[1][index].append(value)
-        columns = [
-            item.alias.upper() if item.alias is not None
-            else _derive_column_name(item.expression, index)
-            for index, item in enumerate(statement.items)]
-        rows = []
-        for key in order:
-            key_values, partials = merged[key]
-            row = []
-            for kind, value in plans:
-                if kind == "key":
-                    row.append(key_values[value])
-                else:
-                    row.append(self._fold_partials(value, partials,
-                                                   n_keys))
-            rows.append(tuple(row))
-        rows = self._order_output(statement, columns, rows)
-        if statement.fetch_first is not None:
-            rows = rows[:statement.fetch_first]
-        return Result(columns, rows)
-
-    @staticmethod
-    def _group_key_index(expression: ast.Expr,
-                         group_exprs: list) -> int | None:
-        """The index of the GROUP BY key *expression* denotes, or
-        None.  Column references match leniently — ``SELECT t.g ...
-        GROUP BY g`` names one column; the engine gets this for free
-        by evaluating items against a representative group row."""
-        if expression in group_exprs:
-            return group_exprs.index(expression)
-        if not isinstance(expression, ast.ColumnPath):
-            return None
-        mine = [part.upper() for part in expression.parts]
-        for index, key in enumerate(group_exprs):
-            if not isinstance(key, ast.ColumnPath):
-                continue
-            theirs = [part.upper() for part in key.parts]
-            if mine == theirs or ((len(mine) == 1 or len(theirs) == 1)
-                                  and mine[-1] == theirs[-1]):
-                return index
-        return None
-
-    @staticmethod
-    def _fold_partials(spec: tuple, partials: list[list],
-                       n_keys: int) -> object:
-        fold, column = spec
-        if fold == "avg":
-            sum_column, count_column = column
-            total_count = sum(partials[count_column - n_keys])
-            if total_count == 0:
-                return None
-            total = sum(value
-                        for value in partials[sum_column - n_keys]
-                        if value is not None)
-            return Decimal(total) / Decimal(total_count)
-        values = partials[column - n_keys]
-        if fold == "sum":  # COUNT partials: plain integers
-            return sum(values)
-        present = [value for value in values if value is not None]
-        if not present:
-            return None
-        if fold == "sum_nullable":
-            return sum(present)
-        return min(present) if fold == "min" else max(present)
-
-    @staticmethod
-    def _order_output(statement: ast.SelectStmt, columns: list[str],
-                      rows: list[tuple]) -> list[tuple]:
-        """Engine-parity ordering of grouped output: positions and
-        output column names only (the engine enforces the same for
-        grouped queries), plus structural matches against the items
-        (``ORDER BY COUNT(*)`` when ``COUNT(*)`` is an item)."""
-        if not statement.order_by:
-            return rows
-        resolved: list[int] = []
-        for order_item in statement.order_by:
-            expression = order_item.expression
-            index = None
-            if isinstance(expression, ast.Literal) and isinstance(
-                    expression.value, int):
-                if not 1 <= expression.value <= len(columns):
-                    raise NotSupported(
-                        f"ORDER BY position {expression.value}"
-                        " out of range")
-                index = expression.value - 1
-            elif isinstance(expression, ast.ColumnPath) \
-                    and len(expression.parts) == 1:
-                wanted = expression.parts[0].upper()
-                for position, column in enumerate(columns):
-                    if column.upper() == wanted:
-                        index = position
-                        break
-            if index is None:
-                for position, item in enumerate(statement.items):
-                    if item.expression == expression:
-                        index = position
-                        break
-            if index is None:
-                raise NotSupported(
-                    "cross-shard grouped ORDER BY supports output"
-                    " columns, positions and select-list expressions")
-            resolved.append(index)
-        keyed = [
-            ([_SortKey(row[index], order_item.ascending)
-              for index, order_item in zip(resolved,
-                                           statement.order_by)], row)
-            for row in rows]
-        keyed.sort(key=lambda pair: pair[0])
-        return [row for _keys, row in keyed]
+        router = self.router
+        router._count("shard_fanouts")
+        pipeline = Pipeline(statement)
+        request = PartialSelect(statement)
+        merged = pipeline.merge([self._dispatch(index, request)
+                                 for index in range(router.n_shards)])
+        # select-list expressions over merged aggregates are evaluated
+        # here; the router stands in for an engine (catalog, dereference)
+        return pipeline.finalise(merged, Evaluator(router))
 
     # -- transaction control -----------------------------------------------------------
 

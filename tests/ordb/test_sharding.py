@@ -3,13 +3,17 @@
 Every test here runs the same statements against a single
 :class:`Database` and against :class:`ShardedDatabase` instances with
 n ∈ {1, 2, 4} shards, and asserts identical results — rows, columns,
-rowcounts and messages — across every supported query type: point
-and range predicates, CONTAINS full-text, LIKE, global and grouped
-aggregates (including AVG's exact Decimal), DISTINCT, ORDER BY with
-hidden expressions, FETCH FIRST, DML rowcounts, transactions and
-concurrent writers.  Where no ORDER BY (or a tie-prone one) leaves
-row order unspecified, rows compare as multisets — both engines sort
-stably but enumerate storage in different orders.
+rowcounts and messages, or exception class and ORA code — across
+every query type: point and range predicates, CONTAINS full-text,
+LIKE, global and grouped aggregates (including AVG's exact Decimal,
+DISTINCT aggregates, HAVING and expressions over aggregates),
+DISTINCT, ORDER BY by position, name, select-list expression and row
+expression, FETCH FIRST, DML rowcounts, transactions and concurrent
+writers.  The engine and the router share one SELECT back half
+(:mod:`repro.ordb.select`), so only cross-shard subqueries still
+refuse.  Where no ORDER BY (or a tie-prone one) leaves row order
+unspecified, rows compare as multisets — both engines sort stably but
+enumerate storage in different orders.
 
 ``REPRO_STRESS_SEED`` varies the seeded data and random query sweep,
 and ``REPRO_SHARD_COUNTS`` (comma-separated, default ``1,2,4``)
@@ -27,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ordb import Database, ShardedDatabase, shard_of
-from repro.ordb.errors import NotSupported
+from repro.ordb.errors import NoSuchColumn, NotSupported, OrdbError
 
 SEED = int(os.environ.get("REPRO_STRESS_SEED", "0"))
 SHARD_COUNTS = tuple(
@@ -90,6 +94,44 @@ QUERIES = [
      "multiset"),
     ("SELECT t.g, t.b FROM t WHERE t.a < 20 ORDER BY a DESC",
      "ordered"),
+    # finalise runs after merge: HAVING, DISTINCT aggregates and
+    # expressions over aggregates are ordinary queries on any topology
+    ("SELECT t.g FROM t GROUP BY g HAVING COUNT(*) > 1", "multiset"),
+    ("SELECT t.g, COUNT(*) FROM t GROUP BY g HAVING COUNT(*) > 13",
+     "multiset"),
+    ("SELECT t.g, COUNT(*) FROM t GROUP BY g HAVING COUNT(*) > 999",
+     "multiset"),
+    ("SELECT COUNT(DISTINCT t.g) FROM t", "ordered"),
+    ("SELECT t.g, COUNT(DISTINCT t.b), SUM(DISTINCT t.b),"
+     " AVG(DISTINCT t.b) FROM t GROUP BY t.g", "multiset"),
+    ("SELECT COUNT(*) + 1 FROM t", "ordered"),
+    ("SELECT UPPER(t.g), COUNT(*) FROM t GROUP BY t.g", "multiset"),
+    ("SELECT t.g || '/' || COUNT(*) FROM t GROUP BY t.g", "multiset"),
+    ("SELECT t.g, SUM(t.b) FROM t GROUP BY g ORDER BY SUM(t.b) DESC,"
+     " g", "ordered"),
+    ("SELECT DISTINCT t.g FROM t ORDER BY g DESC"
+     " FETCH FIRST 2 ROWS ONLY", "ordered"),
+    ("SELECT DISTINCT t.g, t.b FROM t ORDER BY 2, 1"
+     " FETCH FIRST 7 ROWS ONLY", "ordered"),
+    # all-NULL and empty groups
+    ("SELECT t.g, SUM(NULL), MIN(NULL), AVG(NULL), COUNT(NULL)"
+     " FROM t GROUP BY t.g", "multiset"),
+    ("SELECT COUNT(*), SUM(t.b), MIN(t.s), AVG(t.b),"
+     " COUNT(DISTINCT t.b) FROM t WHERE t.a > 999", "ordered"),
+    ("SELECT t.g, COUNT(*) FROM t WHERE t.a > 999 GROUP BY t.g",
+     "multiset"),
+]
+
+#: (sql, exception class) — a statement refused anywhere is refused
+#: everywhere, with the same class and ORA code
+ERRORS = [
+    ("SELECT t.a FROM t ORDER BY 5", NoSuchColumn),
+    ("SELECT t.g, COUNT(*) FROM t GROUP BY g ORDER BY 3",
+     NoSuchColumn),
+    ("SELECT DISTINCT t.g FROM t ORDER BY t.b", NotSupported),
+    ("SELECT t.g FROM t GROUP BY t.g ORDER BY t.b", NotSupported),
+    ("SELECT SUM(t.s) FROM t", OrdbError),
+    ("SELECT t.nope FROM t", NoSuchColumn),
 ]
 
 
@@ -191,21 +233,38 @@ def test_concurrent_writers_match_serial_single_engine(n):
     assert_equivalent(single, sharded)
 
 
+@pytest.mark.parametrize("n", SHARD_COUNTS)
+def test_errors_match_single_engine(n):
+    single, sharded = make_pair(n)
+    for sql, expected in ERRORS:
+        with pytest.raises(expected) as on_single:
+            single.execute(sql)
+        with pytest.raises(OrdbError) as on_shards:
+            sharded.execute(sql)
+        assert type(on_shards.value) is type(on_single.value), sql
+        assert on_shards.value.code == on_single.value.code, sql
+
+
 def test_unsupported_shapes_raise_not_supported_cross_shard():
-    """Shapes the scatter-gather merge cannot decompose must refuse
-    loudly (never silently return shard-local answers) — unless a
-    document pin confines them to one shard."""
+    """The one shape the merge cannot decompose — a subquery, which
+    would see only its own shard's rows — must refuse loudly (never
+    silently return shard-local answers) unless a document pin
+    confines it to one shard."""
     _, sharded = make_pair(2)
     for sql in [
-        "SELECT t.g FROM t GROUP BY g HAVING COUNT(*) > 1",
-        "SELECT COUNT(DISTINCT t.g) FROM t",
+        "SELECT t.a FROM t WHERE t.b = (SELECT MAX(u.b) FROM t u)",
+        "SELECT t.a FROM t WHERE t.a IN (SELECT u.a FROM t u)",
+        "SELECT COUNT(*) FROM t WHERE EXISTS"
+        " (SELECT u.a FROM t u WHERE u.a = t.a + 1)",
+        "SELECT q.a FROM (SELECT t.a FROM t) q",
     ]:
-        with pytest.raises(NotSupported):
+        with pytest.raises(NotSupported, match="subqueries"):
             sharded.execute(sql)
-    # pinned to one shard the same shapes run fine (single engine)
+    # pinned to one shard the same shape runs fine (single engine)
     with sharded.pin_document(0):
-        result = sharded.execute("SELECT COUNT(DISTINCT t.g) FROM t")
-    assert result.rowcount == 1
+        result = sharded.execute(
+            "SELECT t.a FROM t WHERE t.a IN (SELECT u.a FROM t u)")
+    assert result.rowcount > 0
 
 
 def test_rebalance_preserves_differential_equivalence():
