@@ -2,14 +2,19 @@
 
 Handles the lexical ground rules of Oracle SQL scripts as the paper's
 generator emits them: single-quoted strings with ``''`` escapes,
-double-quoted identifiers, ``--`` and ``/* */`` comments, numbers, and
-the operator set used by the mapping pipeline.
+double-quoted identifiers, ``--`` and ``/* */`` comments, numbers
+(ASCII digits only), and the operator set used by the mapping pipeline.
+
+:func:`tokenize` is one loop over the matches of a single compiled
+pattern.  Each token records its offset; its line and column are
+derived from that offset only when something asks for them, which in
+practice is an error message.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
 from decimal import Decimal
 
 from ..errors import ParseError
@@ -24,141 +29,105 @@ class TokenKind(enum.Enum):
     END = "end of input"
 
 
-@dataclass(frozen=True)
 class Token:
-    kind: TokenKind
-    text: str
-    value: object
-    line: int
-    column: int
+    """One token of *source*, starting at *offset*.
 
-    def upper(self) -> str:
-        return self.text.upper()
+    ``keyword`` is the upper-cased text of an identifier (quoted or
+    not), computed once, and the plain text for every other kind.
+    """
+
+    __slots__ = ("kind", "text", "value", "offset", "source", "keyword")
+
+    def __init__(self, kind: TokenKind, text: str, value: object,
+                 offset: int, source: str):
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.offset = offset
+        self.source = source
+        self.keyword = (text.upper() if kind is TokenKind.IDENT
+                        or kind is TokenKind.QUOTED_IDENT else text)
+
+    @property
+    def line(self) -> int:
+        return _line(self.source, self.offset)
+
+    @property
+    def column(self) -> int:
+        return _column(self.source, self.offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-#: Multi-character operators, longest first.
-_OPERATORS = ("<=", ">=", "<>", "!=", "||", ":=",
-              "(", ")", ",", ";", ".", "=", "<", ">", "+", "-", "*", "/",
-              "%")
+def _line(text: str, offset: int) -> int:
+    return text.count("\n", 0, offset) + 1
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$#")
+
+def _column(text: str, offset: int) -> int:
+    return offset - text.rfind("\n", 0, offset)
+
+
+#: Whitespace and comments, then one token -- or the opening of an
+#: unterminated one, or any other character as an error.  Strings end
+#: at a quote not followed by another (``''`` is an escaped quote).
+_TOKEN = re.compile(r"""
+    (?:[ \t\r\n]+ | --[^\n]* | /\*.*?\*/)*
+    (?:
+        (?P<ident>[A-Za-z_][A-Za-z0-9_$\#]*)
+      | (?P<number>[0-9]+(?:\.[0-9]+)?|\.[0-9]+)
+      | (?P<open_comment>/\*)
+      | (?P<operator><=|>=|<>|!=|\|\||:=|[(),;.=<>+*/%-])
+      | (?P<string>'[^']*(?:''[^']*)*'(?!'))
+      | (?P<quoted>"[^"]*")
+      | (?P<end>\Z)
+      | (?P<open_string>')
+      | (?P<open_quoted>")
+      | (?P<bad>.)
+    )""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(text: str) -> list[Token]:
     """Turn *text* into a token list ending with an END token."""
     tokens: list[Token] = []
-    pos = 0
-    line = 1
-    column = 1
-    length = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal pos, line, column
-        for _ in range(count):
-            if pos < length and text[pos] == "\n":
-                line += 1
-                column = 1
-            else:
-                column += 1
-            pos += 1
-
-    while pos < length:
-        ch = text[pos]
-        # whitespace
-        if ch in " \t\r\n":
-            advance(1)
-            continue
-        # line comment
-        if text.startswith("--", pos):
-            end = text.find("\n", pos)
-            advance((end - pos) if end != -1 else (length - pos))
-            continue
-        # block comment
-        if text.startswith("/*", pos):
-            end = text.find("*/", pos + 2)
-            if end == -1:
-                raise ParseError(f"unterminated comment at line {line}")
-            advance(end + 2 - pos)
-            continue
-        token_line, token_column = line, column
-        # string literal
-        if ch == "'":
-            advance(1)
-            parts: list[str] = []
-            while True:
-                if pos >= length:
-                    raise ParseError(
-                        f"unterminated string literal at line {token_line}")
-                if text[pos] == "'":
-                    if pos + 1 < length and text[pos + 1] == "'":
-                        parts.append("'")
-                        advance(2)
-                        continue
-                    advance(1)
-                    break
-                parts.append(text[pos])
-                advance(1)
-            value = "".join(parts)
-            tokens.append(Token(TokenKind.STRING, f"'{value}'", value,
-                                token_line, token_column))
-            continue
-        # quoted identifier
-        if ch == '"':
-            end = text.find('"', pos + 1)
-            if end == -1:
-                raise ParseError(
-                    f"unterminated quoted identifier at line {line}")
-            name = text[pos + 1:end]
-            advance(end + 1 - pos)
-            tokens.append(Token(TokenKind.QUOTED_IDENT, name, name,
-                                token_line, token_column))
-            continue
-        # number
-        if ch.isdigit() or (ch == "." and pos + 1 < length
-                            and text[pos + 1].isdigit()):
-            start = pos
-            seen_dot = False
-            while pos < length and (text[pos].isdigit()
-                                    or (text[pos] == "." and not seen_dot)):
-                if text[pos] == ".":
-                    # a trailing dot followed by an identifier is a path
-                    if (pos + 1 >= length
-                            or not text[pos + 1].isdigit()):
-                        break
-                    seen_dot = True
-                advance(1)
-            literal = text[start:pos]
-            number: object
-            number = Decimal(literal) if "." in literal else int(literal)
-            tokens.append(Token(TokenKind.NUMBER, literal, number,
-                                token_line, token_column))
-            continue
-        # identifier / keyword
-        if ch in _IDENT_START:
-            start = pos
-            while pos < length and text[pos] in _IDENT_CONT:
-                advance(1)
-            word = text[start:pos]
-            tokens.append(Token(TokenKind.IDENT, word, word,
-                                token_line, token_column))
-            continue
-        # operator
-        for operator in _OPERATORS:
-            if text.startswith(operator, pos):
-                advance(len(operator))
-                tokens.append(Token(TokenKind.OPERATOR, operator, operator,
-                                    token_line, token_column))
-                break
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        token = match.group(kind)
+        start = match.start(kind)
+        if kind == "ident":
+            tokens.append(Token(TokenKind.IDENT, token, token, start, text))
+        elif kind == "operator":
+            tokens.append(
+                Token(TokenKind.OPERATOR, token, token, start, text))
+        elif kind == "number":
+            number = Decimal(token) if "." in token else int(token)
+            tokens.append(
+                Token(TokenKind.NUMBER, token, number, start, text))
+        elif kind == "string":
+            value = token[1:-1].replace("''", "'")
+            tokens.append(
+                Token(TokenKind.STRING, f"'{value}'", value, start, text))
+        elif kind == "quoted":
+            name = token[1:-1]
+            tokens.append(
+                Token(TokenKind.QUOTED_IDENT, name, name, start, text))
+        elif kind == "end":
+            break
+        elif kind == "open_comment":
+            raise ParseError(
+                f"unterminated comment at line {_line(text, start)}")
+        elif kind == "open_string":
+            raise ParseError(
+                f"unterminated string literal at line {_line(text, start)}")
+        elif kind == "open_quoted":
+            raise ParseError(
+                f"unterminated quoted identifier at line"
+                f" {_line(text, start)}")
         else:
             raise ParseError(
-                f"unexpected character {ch!r} at line {line},"
-                f" column {column}")
-    tokens.append(Token(TokenKind.END, "", None, line, column))
+                f"unexpected character {token!r} at line"
+                f" {_line(text, start)}, column {_column(text, start)}")
+    tokens.append(Token(TokenKind.END, "", None, len(text), text))
     return tokens
 
 

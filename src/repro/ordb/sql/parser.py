@@ -57,7 +57,7 @@ class SQLParser:
 
     def at_keyword(self, *keywords: str) -> bool:
         token = self.current
-        return token.kind is TokenKind.IDENT and token.upper() in keywords
+        return token.kind is TokenKind.IDENT and token.keyword in keywords
 
     def accept_keyword(self, *keywords: str) -> bool:
         if self.at_keyword(*keywords):
@@ -274,9 +274,9 @@ class SQLParser:
             return ast.RefTypeRef(self.expect_identifier("type name"))
         token = self.current
         if (token.kind is TokenKind.IDENT
-                and token.upper() in _SCALAR_KEYWORDS):
+                and token.keyword in _SCALAR_KEYWORDS):
             self.advance()
-            keyword = token.upper()
+            keyword = token.keyword
             parameters: list[int] = []
             if self.accept_operator("("):
                 while True:
@@ -593,7 +593,7 @@ class SQLParser:
         if self.accept_keyword("AS"):
             alias = self.expect_identifier("column alias")
         elif (self.current.kind in (TokenKind.IDENT, TokenKind.QUOTED_IDENT)
-              and self.current.upper() not in _CLAUSE_KEYWORDS):
+              and self.current.keyword not in _CLAUSE_KEYWORDS):
             alias = self.advance().text
         return ast.SelectItem(expression, alias)
 
@@ -615,7 +615,7 @@ class SQLParser:
     def _maybe_alias(self) -> str | None:
         token = self.current
         if (token.kind in (TokenKind.IDENT, TokenKind.QUOTED_IDENT)
-                and token.upper() not in _CLAUSE_KEYWORDS):
+                and token.keyword not in _CLAUSE_KEYWORDS):
             self.advance()
             return token.text
         return None
@@ -655,7 +655,7 @@ class SQLParser:
             return ast.IsNull(left, negated)
         negated = False
         if self.at_keyword("NOT"):
-            if self.peek(1).upper() in ("LIKE", "BETWEEN", "IN"):
+            if self.peek(1).keyword in ("LIKE", "BETWEEN", "IN"):
                 self.advance()
                 negated = True
             else:
@@ -734,7 +734,7 @@ class SQLParser:
             return ast.Star()
         if token.kind not in (TokenKind.IDENT, TokenKind.QUOTED_IDENT):
             self.error("expected an expression")
-        word = token.upper()
+        word = token.keyword
         if word == "NULL":
             self.advance()
             return ast.Literal(None)

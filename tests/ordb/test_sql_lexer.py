@@ -3,6 +3,7 @@
 import pytest
 from decimal import Decimal
 
+from repro.ordb import Database
 from repro.ordb.errors import ParseError
 from repro.ordb.sql.lexer import Token, TokenKind, split_statements, tokenize
 
@@ -71,6 +72,30 @@ class TestTokenize:
     def test_end_token_terminates(self):
         tokens = tokenize("x")
         assert tokens[-1].kind is TokenKind.END
+
+
+class TestAsciiDigits:
+    """Numbers are ASCII ``[0-9]`` only; other Unicode digits are an
+    unexpected character, never a number."""
+
+    def test_superscript_digit_is_a_parse_error(self):
+        with pytest.raises(ParseError,
+                           match="unexpected character '²' at line 1,"
+                                 " column 8"):
+            Database().execute("SELECT ² FROM dual")
+
+    def test_arabic_indic_digit_is_not_read_as_one(self):
+        db = Database()
+        db.execute("CREATE TABLE t (x NUMBER)")
+        db.execute("INSERT INTO t VALUES (1)")
+        with pytest.raises(ParseError,
+                           match="unexpected character '١' at line 1,"
+                                 " column 31"):
+            db.execute("SELECT t.x FROM t WHERE t.x = ١")
+
+    def test_non_ascii_digit_does_not_continue_a_number(self):
+        with pytest.raises(ParseError, match="unexpected character '٢'"):
+            tokenize("SELECT 1٢")
 
 
 class TestSplitStatements:

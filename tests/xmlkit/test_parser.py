@@ -9,6 +9,7 @@ from repro.xmlkit import (
     ProcessingInstruction,
     Text,
     XMLParser,
+    XMLSyntaxError,
     parse,
 )
 
@@ -157,6 +158,23 @@ class TestReferences:
     def test_attribute_whitespace_normalization(self):
         doc = parse('<a x="a\n b\tc"/>')
         assert doc.root_element.get("x") == "a  b c"
+
+
+class TestEndOfLineNormalization:
+    """XML 1.0 §2.11: ``\\r\\n`` and a lone ``\\r`` read as ``\\n``."""
+
+    def test_crlf_and_cr_become_newlines(self):
+        root = parse('<a b="x\r\ny">p\r\nq\rr</a>').root_element
+        assert root.get("b") == "x y"
+        assert root.text() == "p\nq\nr"
+
+    def test_lines_count_after_normalization(self):
+        with pytest.raises(XMLSyntaxError) as info:
+            parse("<a>\r\n<b>\r</c></a>")
+        assert (info.value.line, info.value.column) == (3, 4)
+
+    def test_character_reference_keeps_carriage_return(self):
+        assert parse("<a>x&#13;y</a>").root_element.text() == "x\ry"
 
 
 class TestFragmentParsing:

@@ -35,7 +35,8 @@ def test_error_carries_position():
     with pytest.raises(XMLSyntaxError) as info:
         parse("<a>\n  <b></c>\n</a>")
     assert info.value.line == 2
-    assert info.value.column is not None
+    assert info.value.column == 9
+    assert info.value.message == "end tag </c> does not match <b>"
 
 
 def test_illegal_control_character_position():
