@@ -14,11 +14,10 @@ Exports ``BENCH_concurrency.json``:
   acceptance gate asserts > 1.5x scaling from 1 to 4;
 * reader latency (p50/p99) against an idle engine vs under a
   continuous writer, plus the engine's contention counters;
-* the MVCC sweep: reader latency under N ∈ {0, 1, 2, 4} continuous
-  writers, measured twice — snapshot reads (``mvcc=True``, the
-  default) vs the pre-MVCC locking reads (``mvcc=False``).  The gate
-  asserts snapshot-reader p99 under one writer stays within ~1.3x of
-  the no-writer baseline: readers must not queue behind writer locks.
+* the MVCC sweep: snapshot-reader latency under N ∈ {0, 1, 2, 4}
+  continuous writers.  The gate asserts reader p99 under one writer
+  stays within ~1.3x of the no-writer baseline: readers must not
+  queue behind writer locks.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def ingest_throughput(workers: int) -> dict:
 
 
 def reader_latency(with_writer: bool) -> dict:
-    sampled = reader_under_writers(1 if with_writer else 0, mvcc=True)
+    sampled = reader_under_writers(1 if with_writer else 0)
     return {
         "writer_running": with_writer,
         "samples": sampled["samples"],
@@ -74,12 +73,10 @@ def reader_latency(with_writer: bool) -> dict:
     }
 
 
-def reader_under_writers(writers: int, mvcc: bool,
-                         samples: int = 150) -> dict:
-    """p50/p99 of one reader's SELECT against *writers* continuous
-    insert transactions, with snapshot (mvcc) or locking reads."""
-    db = Database(commit_latency=COMMIT_LATENCY, mvcc=mvcc,
-                  lock_timeout=30.0)
+def reader_under_writers(writers: int, samples: int = 150) -> dict:
+    """p50/p99 of one snapshot reader's SELECT against *writers*
+    continuous insert transactions."""
+    db = Database(commit_latency=COMMIT_LATENCY, lock_timeout=30.0)
     db.execute("CREATE TABLE BenchRows(n NUMBER)")
     for n in range(50):
         db.execute(f"INSERT INTO BenchRows VALUES({n})")
@@ -111,13 +108,11 @@ def reader_under_writers(writers: int, mvcc: bool,
     latencies.sort()
     return {
         "writers": writers,
-        "mvcc": mvcc,
         "samples": len(latencies),
         "p50_ms": round(latencies[len(latencies) // 2] * 1e3, 3),
         "p99_ms": round(latencies[int(len(latencies) * 0.99)] * 1e3,
                         3),
         "snapshot_reads": db.stats["snapshot_reads"],
-        "locking_reads": db.stats["locking_reads"],
         "s_acquires": db.locks.stats["s_acquires"],
         "lock_waits": db.stats["lock_waits"],
     }
@@ -160,31 +155,23 @@ def test_ingest_scales_with_workers(benchmark):
 
 
 def test_snapshot_readers_isolated_from_writers(benchmark):
-    """Reader p50/p99 under 0/1/2/4 writers, MVCC vs locking reads.
+    """Snapshot-reader p50/p99 under 0/1/2/4 writers.
 
     The gate: a snapshot reader's p99 under one continuous writer
     stays within 1.3x of the no-writer baseline (plus a 2 ms absolute
     floor against timer jitter on loaded CI runners) — snapshot reads
-    must never queue behind writer X locks.  The locking-read sweep
-    runs for the before/after comparison in the artifact; it carries
-    no gate (its whole point is that it *does* degrade).
+    must never queue behind writer X locks.
     """
-    sweep = {
-        "mvcc": [reader_under_writers(n, mvcc=True)
-                 for n in SWEEP_WRITERS],
-        "locking": [reader_under_writers(n, mvcc=False)
-                    for n in SWEEP_WRITERS],
-    }
-    benchmark(lambda: reader_under_writers(1, mvcc=True, samples=30))
+    sweep = {"mvcc": [reader_under_writers(n) for n in SWEEP_WRITERS]}
+    benchmark(lambda: reader_under_writers(1, samples=30))
 
     baseline = sweep["mvcc"][0]
     under_one = sweep["mvcc"][1]
     gate_ms = round(max(baseline["p99_ms"] * 1.3,
                         baseline["p99_ms"] + 2.0), 3)
-    for point in sweep["mvcc"] + sweep["locking"]:
-        key = f"p99_ms_{'mvcc' if point['mvcc'] else 'lock'}" \
-              f"_w{point['writers']}"
-        benchmark.extra_info[key] = point["p99_ms"]
+    for point in sweep["mvcc"]:
+        benchmark.extra_info[f"p99_ms_mvcc_w{point['writers']}"] = \
+            point["p99_ms"]
 
     write_bench_json("concurrency", {
         "commit_latency_s": COMMIT_LATENCY,

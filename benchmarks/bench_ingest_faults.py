@@ -2,10 +2,8 @@
 
 Two questions the robustness work raises:
 
-* What does the undo journal cost?  ``store()`` with
-  ``transactional=True`` (default) journals every mutation so a fault
-  can roll the document back; ``transactional=False`` is the seed
-  tool's unguarded path.
+* What does one journaled ``store()`` cost?  It journals every
+  mutation so a fault can roll the document back.
 * What does recovery cost under faults?  ``store_many`` throughput at
   0%, 1% and 10% seeded-random transient-fault rates, with retries on
   an injected no-op clock (measured work is real work, not sleeps).
@@ -22,16 +20,13 @@ _NO_SLEEP = RetryPolicy(max_attempts=4, base_delay=0.0,
                         sleep=lambda _seconds: None)
 
 
-@pytest.mark.parametrize("transactional", [False, True],
-                         ids=["seed-path", "transactional"])
-def test_store_overhead(benchmark, transactional):
-    """Per-document cost of the undo journal, against the seed path."""
+def test_store_overhead(benchmark):
+    """Per-document cost of a journaled store()."""
     document = make_university(students=20)
-    tool = XML2Oracle(transactional=transactional, metadata=False)
+    tool = XML2Oracle(metadata=False)
     tool.register_schema(university_dtd())
 
     stored = benchmark(lambda: tool.store(document))
-    benchmark.extra_info["transactional"] = transactional
     benchmark.extra_info["insert_statements"] = \
         stored.load_result.insert_count
     assert stored.doc_id >= 1

@@ -114,7 +114,6 @@ class XML2Oracle:
                  config: MappingConfig | None = None,
                  metadata: bool = True,
                  validate_documents: bool = True,
-                 transactional: bool = True,
                  obs: Observability | None = None):
         self.db = db or Database(mode)
         if obs is not None:
@@ -124,9 +123,6 @@ class XML2Oracle:
         self.obs = self.db.obs
         self.config = config or MappingConfig()
         self.validate_documents = validate_documents
-        #: when False, store()/register_schema() run unguarded as the
-        #: original tool did — kept for overhead benchmarking only
-        self.transactional = transactional
         self.metadata: MetadataRegistry | None = (
             MetadataRegistry(self.db) if metadata else None)
         self.schemas: list[RegisteredSchema] = []
@@ -139,12 +135,8 @@ class XML2Oracle:
 
     def _atomic(self, session: Session | None = None):
         """The engine's all-or-nothing scope — on *session* when one
-        is given — or a no-op guard when the facade was built with
-        ``transactional=False``."""
-        target = session if session is not None else self.db
-        if self.transactional:
-            return target.atomic()
-        return contextlib.nullcontext(target)
+        is given."""
+        return (session or self.db).atomic()
 
     def _pin(self, doc_id: int):
         """Route statements to *doc_id*'s home shard while open.

@@ -190,7 +190,6 @@ def install_state(db: "Database", state: dict) -> None:
     db._commit_ts = (restored_ts if restored_ts is not None
                      else highest_cts)
     db._version_records = version_records
-    db._data_version += 1
 
 
 # -- integrity verification ---------------------------------------------------------

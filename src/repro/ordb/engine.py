@@ -169,20 +169,17 @@ class _Snapshot:
 
     ``ts`` is the commit timestamp the statement reads as of;
     ``token`` is the reading transaction's write token (a session
-    always sees its own uncommitted changes); ``cacheable`` is False
-    when the transaction has pending writes, so view results that mix
-    in uncommitted data never enter the shared cache;
-    ``saw_pending`` flips when the reader skipped past another
-    transaction's uncommitted row — the schedule where a 2PL reader
-    would have blocked on an S lock.
+    always sees its own uncommitted changes); ``saw_pending`` flips
+    when the reader skipped past another transaction's uncommitted
+    row — the schedule where a 2PL reader would have blocked on an S
+    lock.
     """
 
-    __slots__ = ("ts", "token", "cacheable", "saw_pending")
+    __slots__ = ("ts", "token", "saw_pending")
 
-    def __init__(self, ts: int, token: int | None, cacheable: bool):
+    def __init__(self, ts: int, token: int | None):
         self.ts = ts
         self.token = token
-        self.cacheable = cacheable
         self.saw_pending = False
 
 
@@ -200,7 +197,6 @@ class Database:
                  path: str | os.PathLike | None = None,
                  fsync: str = "commit",
                  checkpoint_every: int | None = None,
-                 mvcc: bool = True,
                  group_commit: bool | float = False):
         self.catalog = Catalog(mode)
         self.evaluator = Evaluator(self)
@@ -235,22 +231,11 @@ class Database:
         self._statement_deadline: float | None = None
         #: SQL text -> parsed AST (ASTs are frozen, safe to re-execute)
         self._statement_cache: dict[str, ast.Statement] = {}
-        #: view key -> (data version, Result) — dropped when stale
-        self._view_cache: dict[str, tuple[int, Result]] = {}
-        #: (view key, snapshot ts) -> (query AST, Result) for MVCC
-        #: reads: a result at a fixed timestamp never goes stale, so
-        #: entries are evicted only by DDL or by the size bound.  The
-        #: stored query object pins identity against CREATE OR
-        #: REPLACE reusing the key.
-        self._snap_view_cache: dict[tuple[str, int],
-                                    tuple[object, Result]] = {}
-        #: bumped by every DML/DDL statement and rollback; versions
-        #: key the view cache so invalidation is O(1)
-        self._data_version = 0
-        #: MVCC master switch; False restores the seed behaviour where
-        #: SELECTs take S locks and read current data (benchmarks
-        #: compare both, and EXPLAIN reports the active mode)
-        self.mvcc = mvcc
+        #: view key -> Result for the statement currently holding the
+        #: latch (a view read twice by one statement — a self-join, a
+        #: nested-loop inner side — is evaluated once); a fresh dict
+        #: per statement, so nothing outlives the statement's snapshot
+        self._view_memo: dict[str, Result] = {}
         #: monotonic commit timestamp; every committed transaction
         #: that wrote rows advances it by one and stamps its write set
         self._commit_ts = 0
@@ -375,7 +360,6 @@ class Database:
             "group_commit_records": 0,
             "checkpoints": 0,
             "snapshot_reads": 0,
-            "locking_reads": 0,
             "reader_lock_waits_avoided": 0,
             "gc_versions_pruned": 0,
             "gc_tombstones_pruned": 0,
@@ -445,11 +429,10 @@ class Database:
         snapshot; a pinned transaction reuses its BEGIN-time one."""
         txn = session.txn
         if txn is None:
-            return _Snapshot(self._commit_ts, None, True)
+            return _Snapshot(self._commit_ts, None)
         ts = (txn.snapshot_ts if txn.snapshot_ts is not None
               else self._commit_ts)
-        cacheable = not txn.write_set and not len(txn.journal)
-        return _Snapshot(ts, txn.token, cacheable)
+        return _Snapshot(ts, txn.token)
 
     def _push_version(self, table: Table, row: Row) -> bool:
         """First-touch capture: archive *row*'s committed image before
@@ -496,7 +479,7 @@ class Database:
         """Stamp an explicit transaction's write set with one fresh
         commit timestamp (called by :meth:`Session.commit` after the
         WAL append succeeded)."""
-        if not self.mvcc or not txn.write_set:
+        if not txn.write_set:
             return
         with self._latch:
             self._stamp_commit(txn.write_set)
@@ -520,9 +503,6 @@ class Database:
         for _table, row in live:
             row.cts = ts
             row.pending = None
-        # visibility changed for snapshot readers: retire cached
-        # current-read view results keyed on the old data version
-        self._data_version += 1
         self._gc_after_commit(live)
 
     def _gc_after_commit(self, live: list) -> None:
@@ -632,8 +612,7 @@ class Database:
                              for table in self.catalog.tables.values())
             with self._txn_lock:
                 pinned = dict(self._pinned)
-            return {"enabled": self.mvcc,
-                    "commit_ts": self._commit_ts,
+            return {"commit_ts": self._commit_ts,
                     "version_records": self._version_records,
                     "tombstones": tombstones,
                     "pinned_snapshots": pinned}
@@ -892,13 +871,12 @@ class Database:
         deadline = None
         if session.statement_timeout is not None:
             deadline = time.monotonic() + session.statement_timeout
-        snapshot_read = (self.mvcc
-                         and isinstance(statement, ast.SelectStmt))
-        # ANALYZE under MVCC is likewise lock-free: a read-only stats
-        # scan must never stall writers (the row walk runs under the
-        # engine latch; the stats swap is journaled like any DDL)
-        lockfree_read = snapshot_read or (
-            self.mvcc and isinstance(statement, ast.Analyze))
+        snapshot_read = isinstance(statement, ast.SelectStmt)
+        # ANALYZE is likewise lock-free: a read-only stats scan must
+        # never stall writers (the row walk runs under the engine
+        # latch; the stats swap is journaled like any DDL)
+        lockfree_read = isinstance(statement, (ast.SelectStmt,
+                                               ast.Analyze))
         # DML keeps its write locks, but its *inner* reads (INSERT ...
         # SELECT, UPDATE/DELETE subqueries) run against the same
         # statement snapshot a top-level SELECT would use — otherwise
@@ -906,12 +884,10 @@ class Database:
         # Not during WAL replay: replayed statements of one record are
         # stamped together afterwards, so mid-record rows are still
         # pending and a snapshot would hide them from inner reads.
-        dml_read = (self.mvcc and not self._wal_suppressed
+        dml_read = (not self._wal_suppressed
                     and isinstance(statement, (ast.Insert, ast.Update,
                                                ast.Delete)))
         if not lockfree_read:
-            if isinstance(statement, ast.SelectStmt):
-                self.stats["locking_reads"] += 1
             # locks are acquired *before* the latch: a blocked session
             # must never stall the sessions currently executing
             self._acquire_statement_locks(session, statement, deadline)
@@ -919,13 +895,15 @@ class Database:
             with self._latch:
                 previous = self._statement_deadline
                 self._statement_deadline = deadline
+                outer_memo = self._view_memo
+                self._view_memo = {}
                 self._active_session = session
                 snap = None
                 if snapshot_read or dml_read:
-                    # MVCC: the SELECT reads a commit-timestamp
-                    # snapshot and holds zero table locks; pending
-                    # rows of concurrent writers are skipped in
-                    # favour of their chained committed images
+                    # the SELECT reads a commit-timestamp snapshot
+                    # and holds zero table locks; pending rows of
+                    # concurrent writers are skipped in favour of
+                    # their chained committed images
                     snap = self._statement_snapshot(session)
                     self._active_snapshot = snap
                 try:
@@ -933,6 +911,7 @@ class Database:
                                               source, partial)
                 finally:
                     self._statement_deadline = previous
+                    self._view_memo = outer_memo
                     self._active_session = None
                     if snap is not None:
                         self._active_snapshot = None
@@ -958,8 +937,8 @@ class Database:
         if handler is None:  # pragma: no cover - parser prevents this
             raise NotSupported(
                 f"unsupported statement {type(statement).__name__}")
-        if self.mvcc and isinstance(statement, _DESTRUCTIVE_DDL) or (
-                self.mvcc and isinstance(statement, ast.CreateView)
+        if isinstance(statement, _DESTRUCTIVE_DDL) or (
+                isinstance(statement, ast.CreateView)
                 and statement.or_replace
                 and identifiers.normalize(statement.name)
                 in self.catalog.views):
@@ -978,26 +957,14 @@ class Database:
                     f" {len(conflicting)} other session(s) hold pinned"
                     f" snapshots (READ ONLY or SERIALIZABLE); retry"
                     f" after they commit")
-        if not isinstance(statement, (ast.ExplainStmt, ast.Analyze)):
-            # DDL (and zero-row DML) invalidates cached view results;
-            # row-level changes bump the version again as they happen.
-            # ANALYZE is exempt: it only refreshes optimizer stats and
-            # changes no rows, so cached results stay valid.
-            self._data_version += 1
-            if not isinstance(statement,
-                              (ast.Insert, ast.Update, ast.Delete)):
-                # DDL is not versioned (the catalog has no chains), so
-                # snapshot-keyed view results cannot express it: drop
-                # them all rather than serve a pre-DDL shape
-                self._snap_view_cache.clear()
         journal = UndoJournal()
         outer = self._active_journal
         self._active_journal = journal
         txn = session.txn
         write_set: list | None = None
-        if self.mvcc and not isinstance(statement, ast.ExplainStmt):
-            # DML under MVCC: rows touched by this statement carry
-            # this token (``Row.pending``) until their commit stamp
+        if not isinstance(statement, ast.ExplainStmt):
+            # rows touched by this statement carry this token
+            # (``Row.pending``) until their commit stamp
             write_set = []
             self._active_write_set = write_set
             self._active_token = (txn.token if txn is not None
@@ -1010,9 +977,6 @@ class Database:
         except BaseException:
             self._active_journal = outer
             journal.undo_to(0)
-            # the undo restored pre-statement data under the bumped
-            # version; bump again so mid-statement cache entries die
-            self._data_version += 1
             raise
         finally:
             self._active_write_set = None
@@ -1043,7 +1007,6 @@ class Database:
                     self._wal_commit([source])
                 except BaseException:
                     journal.undo_to(0)
-                    self._data_version += 1
                     raise
             if write_set:
                 if self._wal_suppressed:
@@ -1102,16 +1065,15 @@ class Database:
             self, statement: ast.Statement) -> list[tuple[str, str]]:
         """The (resource, mode) set a statement must hold.
 
-        SELECT → S on every referenced table (views expanded to their
-        underlying tables); DML → X on the target plus S on tables its
-        subqueries read; DDL → X on the catalog resource and on the
-        named object.  EXPLAIN locks nothing (it never touches rows).
+        DML → X on the target plus S on tables its subqueries read
+        (views expanded to their underlying tables); DDL → X on the
+        catalog resource and on the named object.  EXPLAIN locks
+        nothing (it never touches rows).  SELECT and ANALYZE never get
+        here: they read a snapshot and take no table locks.
         """
         reads: set[str] = set()
         writes: set[str] = set()
-        if isinstance(statement, ast.SelectStmt):
-            _collect_table_refs(statement, reads)
-        elif isinstance(statement, ast.Insert):
+        if isinstance(statement, ast.Insert):
             writes.add(identifiers.normalize(statement.table))
             _collect_table_refs(statement, reads)
         elif isinstance(statement, (ast.Update, ast.Delete)):
@@ -1122,15 +1084,10 @@ class Database:
         elif isinstance(statement, ast.CreateIndex):
             # index DDL also rewrites the table's probe paths: exclude
             # concurrent writers (readers are excluded by the pinned-
-            # snapshot conflict check / S locks in locking mode)
+            # snapshot conflict check)
             writes.add(CATALOG_RESOURCE)
             writes.add(identifiers.normalize(statement.name))
             writes.add(identifiers.normalize(statement.table))
-        elif isinstance(statement, ast.Analyze):
-            # a read-only stats scan: SHARED is enough — writers must
-            # not stall behind ANALYZE (it changes no rows, and the
-            # stats swap itself is serialized by the engine latch)
-            reads.add(identifiers.normalize(statement.table))
         else:  # DDL
             writes.add(CATALOG_RESOURCE)
             name = getattr(statement, "name", None)
@@ -1279,7 +1236,7 @@ class Database:
         the read mode *session* (default: the session executing the
         EXPLAIN, else the implicit one) would run under — ``SNAPSHOT
         READ @latest``, ``SNAPSHOT READ @<ts>`` for a pinned
-        transaction snapshot, or ``LOCKING READ`` with MVCC off.
+        transaction snapshot.
         """
         if isinstance(statement, str):
             statement = parse_statement(statement)
@@ -1292,8 +1249,6 @@ class Database:
 
     def _read_mode(self, session: Session) -> str:
         """How a SELECT by *session* reads rows right now."""
-        if not self.mvcc:
-            return "LOCKING READ"
         txn = session.txn
         if txn is not None and txn.snapshot_ts is not None:
             return f"SNAPSHOT READ @{txn.snapshot_ts}"
@@ -1797,7 +1752,6 @@ class Database:
             self._active_write_set.append((table, row))
         table.data.insert(row)
         table.indexes.add_row(row)
-        self._data_version += 1
 
         def undo(row=row):
             table.data.remove_exact(row)
@@ -1952,7 +1906,6 @@ class Database:
             row.values.clear()
             row.values.update(new_values)
             table.indexes.update_row(row, old_values, new_values)
-            self._data_version += 1
             count += 1
         return Result(rowcount=count,
                       message=f"{count} row(s) updated.")
@@ -2028,7 +1981,6 @@ class Database:
             if row.oid is not None:
                 table.data.oid_index.pop(row.oid, None)
             table.indexes.remove_row(row)
-            self._data_version += 1
             self._record(undo)
         return Result(rowcount=len(doomed),
                       message=f"{len(doomed)} row(s) deleted.")
@@ -2236,7 +2188,7 @@ class Database:
         TABLE() collection elements).  Bindings materialized from a
         view or subquery result are not re-counted: the inner SELECT
         already accounted for the physical work it did, and a view
-        answered from the result cache did none at all.
+        answered from the statement's memo did none at all.
         """
         if isinstance(item, ast.TableRef):
             key = identifiers.normalize(item.name)
@@ -2335,39 +2287,19 @@ class Database:
         return None
 
     def _view_result(self, view: View) -> Result:
-        """Evaluate *view*'s query, reusing a cached result.
+        """Evaluate *view*'s query once per statement.
 
-        Current (locking) reads key the cache by data version: any
-        DML/DDL/rollback bumps it and the entry dies.  Snapshot reads
-        key by ``(view, snapshot ts)`` instead — the rows visible at
-        a fixed timestamp never change (GC cannot prune below an
-        active snapshot), so the entry stays valid across later
-        commits and still serves pinned old snapshots correctly.  A
-        transaction reading its own uncommitted writes bypasses the
-        shared cache entirely (``snap.cacheable`` False)."""
-        snap = self._active_snapshot
-        if snap is None:
-            cached = self._view_cache.get(view.key)
-            if cached is not None and cached[0] == self._data_version:
-                self._count("view_cache_hits")
-                return cached[1]
-            self._count("view_cache_misses")
-            result = self.execute_select(view.query, None)
-            self._view_cache[view.key] = (self._data_version, result)
+        The memo lives exactly as long as the statement (see
+        :meth:`_execute`), so every read of the view inside it sees
+        the same rows and no result crosses into another statement's
+        snapshot."""
+        result = self._view_memo.get(view.key)
+        if result is not None:
+            self._count("view_cache_hits")
             return result
-        if snap.cacheable:
-            cached = self._snap_view_cache.get((view.key, snap.ts))
-            if cached is not None and cached[0] is view.query:
-                self._count("view_cache_hits")
-                return cached[1]
         self._count("view_cache_misses")
-        result = self.execute_select(view.query, None)
-        if snap.cacheable:
-            if len(self._snap_view_cache) >= self.STATEMENT_CACHE_SIZE:
-                self._snap_view_cache.pop(
-                    next(iter(self._snap_view_cache)))
-            self._snap_view_cache[(view.key, snap.ts)] = (view.query,
-                                                          result)
+        result = self._view_memo[view.key] = self.execute_select(
+            view.query, None)
         return result
 
     def _view_bindings(self, view: View, alias: str | None):

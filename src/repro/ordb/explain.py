@@ -132,9 +132,8 @@ class PlanBuilder:
         self.db = db
         self.catalog = db.catalog
         #: rendered on the SELECT STATEMENT line: "SNAPSHOT READ
-        #: @latest", "SNAPSHOT READ @<ts>" (pinned transaction
-        #: snapshot) or "LOCKING READ" (MVCC off) — how the SELECT
-        #: would actually read rows
+        #: @latest" or "SNAPSHOT READ @<ts>" (pinned transaction
+        #: snapshot) — how the SELECT would actually read rows
         self.read_mode = read_mode
 
     # -- entry point -------------------------------------------------------------

@@ -161,7 +161,6 @@ class Session:
                 self.txn = None
             else:
                 self.txn.rollback_to(to)
-            db._data_version += 1
         if self.txn is None:
             db._txn_finished(self)
             db.locks.release_all(self.sid)
@@ -203,7 +202,7 @@ class Session:
         if isolation is not None:
             txn.isolation = isolation
         pin = txn.read_only or txn.isolation == "SERIALIZABLE"
-        if pin and txn.snapshot_ts is None and db.mvcc:
+        if pin and txn.snapshot_ts is None:
             with db._latch:  # a concurrent commit must not tear this
                 txn.snapshot_ts = db._commit_ts
             db._pin_snapshot(self, txn.snapshot_ts)
@@ -278,7 +277,6 @@ class Session:
                 with self.db._latch:
                     txn.rollback_to(name)
                     txn.release(name)
-                    self.db._data_version += 1
             raise
         if self.txn is txn:
             txn.release(name)

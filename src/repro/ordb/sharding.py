@@ -258,19 +258,17 @@ class ShardedDatabase:
                  path: str | os.PathLike | None = None,
                  fsync: str = "commit",
                  checkpoint_every: int | None = None,
-                 mvcc: bool = True,
                  group_commit: bool | float = False):
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         self.path = Path(path) if path is not None else None
         self.fsync_policy = fsync
         self.mode = mode
-        self.mvcc = mvcc
         self._obs = obs if obs is not None else Observability()
         self._engine_kwargs = dict(
             mode=mode, enable_indexes=enable_indexes,
             lock_timeout=lock_timeout, commit_latency=commit_latency,
-            fsync=fsync, checkpoint_every=checkpoint_every, mvcc=mvcc,
+            fsync=fsync, checkpoint_every=checkpoint_every,
             group_commit=group_commit)
         self.router_stats: dict[str, int] = {}
         self._reset_router_stats()
@@ -537,7 +535,6 @@ class ShardedDatabase:
     def mvcc_info(self) -> dict:
         infos = [shard_db.mvcc_info() for shard_db in self.shards]
         return {
-            "enabled": self.mvcc,
             "version_records": sum(i["version_records"] for i in infos),
             "tombstones": sum(i["tombstones"] for i in infos),
             "shards": infos,

@@ -96,7 +96,7 @@ class Row:
 class TableData:
     """Physical contents of one table.
 
-    ``rows`` holds only live rows (what locking readers and writers
+    ``rows`` holds only live rows (what writers and WAL replay
     see); ``tombstones`` holds deleted rows old snapshots may still
     need; ``versioned`` tracks, by identity, every live row whose
     version chain is non-empty — index probes must union it in, since

@@ -225,26 +225,6 @@ class TestRegisterSchemaAtomicity:
         assert second.schema_id == "S2"
 
 
-class TestNonTransactionalFacade:
-    def test_seed_path_still_works(self):
-        tool = XML2Oracle(transactional=False)
-        tool.register_schema(SCHOOL_DTD)
-        stored = tool.store(parse(school_doc(1)))
-        assert tool.fetch(stored.doc_id) is not None
-
-    def test_seed_path_has_no_batch_transaction(self):
-        tool = XML2Oracle(transactional=False,
-                          validate_documents=False)
-        tool.register_schema(SCHOOL_DTD,
-                             sample_document=school_doc(0))
-        with pytest.raises(DanglingReference):
-            tool.store_many([school_doc(1),
-                             school_doc(2, dangling=True)],
-                            retry=NO_RETRY)
-        # without transactions the first document stays stored
-        assert len(tool.db.catalog.tables["TABSCHOOL"].data.rows) == 1
-
-
 class TestCliIngest:
     @pytest.fixture
     def corpus(self, tmp_path):

@@ -165,47 +165,56 @@ class TestLockManager:
 
 class TestSessionIsolation:
     def test_writer_blocks_reader_until_commit(self):
-        # mvcc=False pins the legacy 2PL read path: SELECTs take S
-        # locks and wait out concurrent writers (with MVCC on they
-        # read a pre-commit snapshot instead — see test_mvcc.py)
-        db = Database(lock_timeout=5.0, mvcc=False)
+        # SELECTs never lock (see test_mvcc.py), but DML does: the
+        # INSERT needs X on T and its SELECT reads T under S, so it
+        # waits out the open writer and then copies the committed row
+        db = Database(lock_timeout=5.0)
         db.execute("CREATE TABLE T(a NUMBER)")
+        db.execute("CREATE TABLE Copy(a NUMBER)")
         writer = db.session(name="writer")
         writer.begin()
         writer.execute("INSERT INTO T VALUES(1)")
-        reader = db.session(name="reader")
-        saw: list[int] = []
+        other = db.session(name="other")
         started = threading.Event()
 
-        def read():
+        def insert():
             started.set()
-            saw.append(
-                reader.execute("SELECT COUNT(*) FROM T").scalar())
+            other.execute("INSERT INTO T VALUES(2)")
+            other.execute("INSERT INTO Copy SELECT t.a FROM T t")
 
         def release():
             started.wait()
             writer.commit()
 
-        errors = run_threads([read, release])
+        errors = run_threads([insert, release])
         assert not errors
-        assert saw == [1]
-        reader.close(), writer.close()
+        assert db.execute("SELECT COUNT(*) FROM Copy").scalar() == 2
+        assert db.stats["lock_timeouts"] == 0
+        other.close(), writer.close()
 
     def test_reader_times_out_on_held_lock(self):
-        db = Database(lock_timeout=0.05, mvcc=False)
+        db = Database(lock_timeout=0.05)
         db.execute("CREATE TABLE T(a NUMBER)")
-        with db.session() as writer, db.session() as reader:
+        db.execute("CREATE TABLE Copy(a NUMBER)")
+        with db.session() as writer, db.session() as other:
             writer.begin()
             writer.execute("INSERT INTO T VALUES(1)")
-            with pytest.raises(LockTimeout):
-                reader.execute("SELECT COUNT(*) FROM T")
+            # X requested against X held: a plain INSERT times out
+            with pytest.raises(LockTimeout) as raised:
+                other.execute("INSERT INTO T VALUES(2)")
+            assert raised.value.code == "ORA-30006"
             assert db.stats["lock_timeouts"] == 1
+            # S requested by a DML subquery against X held: same
+            with pytest.raises(LockTimeout):
+                other.execute("INSERT INTO Copy SELECT t.a FROM T t")
+            assert db.stats["lock_timeouts"] == 2
             writer.rollback()
-            assert reader.execute(
-                "SELECT COUNT(*) FROM T").scalar() == 0
+            other.execute("INSERT INTO T VALUES(2)")
+            assert other.execute(
+                "SELECT COUNT(*) FROM T").scalar() == 1
 
     def test_snapshot_reader_never_waits_on_writer(self):
-        # the MVCC counterpart of the two tests above: the reader
+        # unlike the DML in the two tests above, a SELECT reader
         # holds zero locks, sees the pre-commit snapshot while the
         # write is uncommitted, and the new row right after COMMIT
         db = Database(lock_timeout=0.05)
@@ -429,16 +438,22 @@ class TestStatsAccounting:
         for n in range(5):
             db.execute(f"INSERT INTO T VALUES({n}, {n})")
         db.execute("CREATE VIEW V AS SELECT t.v FROM T t")
-        db.execute("SELECT * FROM V")   # populate the view cache
 
     def test_view_cache_hit_does_no_physical_work(self, db):
         self._warm(db)
         before = dict(db.stats)
         db.execute("SELECT * FROM V")
+        once = dict(db.stats)
+        # the self-join reads V for the outer side and once per outer
+        # row for the inner side: only the first read does any work
+        db.execute("SELECT a.v FROM V a, V b WHERE a.v = b.v")
         after = db.stats
-        assert after["view_cache_hits"] == before["view_cache_hits"] + 1
+        assert once["view_cache_hits"] == before["view_cache_hits"]
+        assert after["view_cache_misses"] == once["view_cache_misses"] + 1
+        assert after["view_cache_hits"] > once["view_cache_hits"]
         for counter in ("rows_scanned", "full_scans", "index_lookups"):
-            assert after[counter] == before[counter], counter
+            assert (after[counter] - once[counter]
+                    == once[counter] - before[counter]), counter
 
     def test_index_probe_not_counted_as_full_scan(self, db):
         self._warm(db)
@@ -456,22 +471,6 @@ class TestStatsAccounting:
         after = db.stats
         assert after["full_scans"] == before["full_scans"] + 1
         assert after["rows_scanned"] == before["rows_scanned"] + 5
-
-    def test_analyze_does_not_invalidate_caches(self, db):
-        """ANALYZE changes no rows: cached view results stay valid
-        and the data version does not move (regression: it used to
-        ride the generic DDL invalidation path)."""
-        self._warm(db)
-        version = db._data_version
-        before = dict(db.stats)
-        db.execute("ANALYZE TABLE T")
-        assert db._data_version == version
-        db.execute("SELECT * FROM V")
-        after = db.stats
-        assert after["view_cache_hits"] == before["view_cache_hits"] + 1
-        for counter in ("rows_scanned", "full_scans", "index_lookups",
-                        "range_index_lookups"):
-            assert after[counter] == before[counter], counter
 
 
 class TestAnalyzeLocking:
@@ -491,19 +490,6 @@ class TestAnalyzeLocking:
             writer.execute("INSERT INTO T VALUES(2)")
             stats.commit()
         assert db.execute("SELECT COUNT(*) FROM T").scalar() == 2
-        assert db.stats["lock_timeouts"] == 0
-
-    def test_locking_mode_analyze_takes_shared_not_exclusive(self):
-        db = Database(lock_timeout=0.05, mvcc=False)
-        db.execute("CREATE TABLE T(a NUMBER)")
-        with db.session() as stats, db.session() as reader:
-            stats.begin()
-            stats.execute("ANALYZE TABLE T")
-            # a concurrent reader is compatible with SHARED; under
-            # the old EXCLUSIVE lock it timed out here
-            assert reader.execute(
-                "SELECT COUNT(*) FROM T").scalar() == 0
-            stats.commit()
         assert db.stats["lock_timeouts"] == 0
 
     def test_analyze_races_writers_without_stalls(self):
