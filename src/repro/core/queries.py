@@ -7,7 +7,7 @@ This module turns ``/University/Student/Course/Professor/PName`` into
 exactly that kind of statement against the generated schema —
 collections become ``TABLE(...)`` unnestings of the *same* stored row,
 never joins between separate tables (except for the Oracle-8 child
-tables, where the join reappears; the CLM2 benchmark measures that
+tables, where the join reappears; the CLM2 tests count that
 difference).
 """
 

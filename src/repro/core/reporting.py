@@ -3,7 +3,7 @@
 Produces the decomposition/navigation numbers that the paper's
 argument rests on, for one document across all five mappings (the OR
 mapping in both modes and the three generic baselines).  Used by the
-`relational_comparison` example, the CLM benchmarks and tests, so the
+`relational_comparison` example and the tests, so the
 numbers in EXPERIMENTS.md are regenerable from one place.
 """
 

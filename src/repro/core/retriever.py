@@ -5,7 +5,7 @@ every constructor argument the loader wrote is read back into the DOM
 node it came from.  What the mapping inherently loses — sibling order
 across different element types behind REFs (Section 7 drawback),
 flattened mixed content — is visible here and measured by the CLM3
-round-trip benchmark.
+round-trip tests.
 """
 
 from __future__ import annotations

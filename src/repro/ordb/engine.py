@@ -7,9 +7,9 @@ tables with constraints, object views — and evaluates queries with
 dot-notation navigation, constructors and CAST/MULTISET.
 
 Statement and row-level counters are kept in :attr:`Database.stats`
-because the reproduction benchmarks (CLM1/CLM2 in DESIGN.md) measure
-exactly the operational quantities the paper argues about: number of
-INSERT statements per document and number of scans/joins per query.
+because the CLM1/CLM2 experiments (DESIGN.md) count exactly the
+operational quantities the paper argues about: number of INSERT
+statements per document and number of scans/joins per query.
 
 Concurrency is three-level (see docs/architecture.md and
 docs/transactions.md):
@@ -193,11 +193,10 @@ class Database:
                  obs: Observability | None = None,
                  enable_indexes: bool = True,
                  lock_timeout: float = 5.0,
-                 commit_latency: float = 0.0,
                  path: str | os.PathLike | None = None,
                  fsync: str = "commit",
                  checkpoint_every: int | None = None,
-                 group_commit: bool | float = False):
+                 group_commit: bool = False):
         self.catalog = Catalog(mode)
         self.evaluator = Evaluator(self)
         self.stats: dict[str, int] = {}
@@ -206,16 +205,12 @@ class Database:
         #: observability hooks; disabled by default (zero-cost path)
         self.obs = obs if obs is not None else Observability()
         #: index-selection switch; False forces the seed nested-loop
-        #: path everywhere (benchmarks compare against it).  Index
+        #: path everywhere (tests compare against it).  Index
         #: *maintenance* still runs so the flag can be flipped live.
         self.enable_indexes = enable_indexes
         #: table-level S/X locks isolating sessions from each other
         self.locks = LockManager(timeout=lock_timeout)
         self.locks.on_event = self._lock_event
-        #: seconds one COMMIT costs, modelling the commit-ack round
-        #: trip of the paper's client-server setup; slept *outside*
-        #: all locks so concurrent sessions overlap their waits
-        self.commit_latency = commit_latency
         #: serializes statement bodies (and rollback replay): the
         #: engine mutates plain dicts/lists, so exactly one statement
         #: touches shared structures at a time.  Reentrant because
@@ -280,10 +275,8 @@ class Database:
         self.wal: WriteAheadLog | None = None
         #: commit coalescer batching concurrent committers into one
         #: append+fsync; None unless ``group_commit`` was requested on
-        #: a durable engine.  ``group_commit=True`` uses the default
-        #: collection window; a float gives the window in seconds.
+        #: a durable engine
         self.group_committer: GroupCommitter | None = None
-        self._group_commit_requested = group_commit
         #: summary of the last durable open (replayed counts, seconds)
         self.recovery_info: dict | None = None
         self._commit_seq = 0
@@ -302,11 +295,8 @@ class Database:
             self.path.mkdir(parents=True, exist_ok=True)
             self._recover()
             if group_commit:
-                window = (group_commit
-                          if isinstance(group_commit, float) else 0.001)
                 self.group_committer = GroupCommitter(
-                    self.wal, window=window,
-                    on_batch=self._group_batch_written)
+                    self.wal, on_batch=self._group_batch_written)
             self.reset_stats()
 
     def _fault_fired(self, event) -> None:

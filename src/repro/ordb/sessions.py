@@ -29,7 +29,6 @@ open their own via :meth:`Database.session`.
 from __future__ import annotations
 
 import contextlib
-import time
 from typing import TYPE_CHECKING
 
 from .errors import NoSuchSavepoint, TransactionError
@@ -128,11 +127,6 @@ class Session:
         self.txn = None
         db._txn_finished(self)
         db.locks.release_all(self.sid)
-        if committed and db.commit_latency > 0.0:
-            # the commit-acknowledgement round trip of the paper's
-            # client-server setup, paid *after* locks are released so
-            # concurrent sessions overlap their waits
-            time.sleep(db.commit_latency)
         if committed:
             db._maybe_autocheckpoint()
 

@@ -254,11 +254,10 @@ class ShardedDatabase:
                  obs: Observability | None = None,
                  enable_indexes: bool = True,
                  lock_timeout: float = 5.0,
-                 commit_latency: float = 0.0,
                  path: str | os.PathLike | None = None,
                  fsync: str = "commit",
                  checkpoint_every: int | None = None,
-                 group_commit: bool | float = False):
+                 group_commit: bool = False):
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         self.path = Path(path) if path is not None else None
@@ -267,9 +266,8 @@ class ShardedDatabase:
         self._obs = obs if obs is not None else Observability()
         self._engine_kwargs = dict(
             mode=mode, enable_indexes=enable_indexes,
-            lock_timeout=lock_timeout, commit_latency=commit_latency,
-            fsync=fsync, checkpoint_every=checkpoint_every,
-            group_commit=group_commit)
+            lock_timeout=lock_timeout, fsync=fsync,
+            checkpoint_every=checkpoint_every, group_commit=group_commit)
         self.router_stats: dict[str, int] = {}
         self._reset_router_stats()
         #: the ordered statement log rebalance replays (see module doc)

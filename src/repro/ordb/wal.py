@@ -376,17 +376,16 @@ class GroupCommitter:
     """Commit coalescer: concurrent committers share one append+fsync.
 
     At ``fsync=always`` every commit pays a full flush + ``os.fsync``
-    — the durable-throughput ceiling the durability benchmark
-    measures.  Group commit amortizes it: committing sessions enqueue
-    their redo payload; the first session to find no leader *becomes*
-    the leader, optionally waits a tiny collection window for
-    followers to pile in, then drains the queue and writes the whole
-    batch through :meth:`WriteAheadLog.append_batch` — one fsync for
-    every member.  Followers just block on an event until the leader
-    reports their fate.  Sessions that arrive while the leader is
-    inside the fsync form the next batch (natural piggybacking), so
-    under load the log syncs continuously while the engine latch
-    stays free for the next statements to execute.
+    — the durable-throughput ceiling.  Group commit amortizes it:
+    committing sessions enqueue their redo payload; the first session
+    to find no leader *becomes* the leader, waits a tiny collection
+    window for followers to pile in, then drains the queue and writes
+    the whole batch through :meth:`WriteAheadLog.append_batch` — one
+    fsync for every member.  Followers just block on an event until
+    the leader reports their fate.  Sessions that arrive while the
+    leader is inside the fsync form the next batch (natural
+    piggybacking), so under load the log syncs continuously while the
+    engine latch stays free for the next statements to execute.
 
     Failure keeps the single-append contract: a fault anywhere in the
     batch marks the log for repair back to the batch start, and every
@@ -400,12 +399,12 @@ class GroupCommitter:
     commit sequence numbers to batch members.
     """
 
-    def __init__(self, wal: WriteAheadLog, *, window: float = 0.001,
+    #: seconds a leader waits for followers before draining
+    WINDOW = 0.001
+
+    def __init__(self, wal: WriteAheadLog, *,
                  on_batch: Callable[[int], None] | None = None):
         self.wal = wal
-        #: seconds a leader waits for followers before draining; only
-        #: paid when the leader would otherwise commit alone
-        self.window = window
         #: observer called with each batch's size (stats/histograms)
         self.on_batch = on_batch
         self._mutex = threading.Lock()
@@ -464,7 +463,7 @@ class GroupCommitter:
             raise
 
     def _collect(self) -> None:
-        """The collection window: wait up to :attr:`window` seconds
+        """The collection window: wait up to :attr:`WINDOW` seconds
         for followers, draining early once arrivals go quiet.
 
         The engine latch and the WAL lock are both free while the
@@ -474,10 +473,8 @@ class GroupCommitter:
         solo committer only ever pays one poll interval: the queue is
         already quiet at the first check.
         """
-        if self.window <= 0.0:
-            return
-        deadline = time.monotonic() + self.window
-        poll = min(self.window / 4.0, 0.0003)
+        deadline = time.monotonic() + self.WINDOW
+        poll = min(self.WINDOW / 4.0, 0.0003)
         with self._mutex:
             seen = len(self._queue)
         while True:

@@ -4,7 +4,7 @@ These are the comparison points of the paper's argument: edge tables
 and attribute tables (structure-oriented, Florescu & Kossmann) and DTD
 inlining (content-oriented, Shanmugasundaram et al.).  Each exposes
 ``schema_statements`` / ``install`` / ``shred`` / ``load`` /
-``path_query`` so the CLM1–CLM3 benchmarks can compare them against the
+``path_query`` so the CLM1–CLM3 tests can compare them against the
 object-relational mapping on identical documents.
 """
 

@@ -4,8 +4,8 @@ The reverse direction of the generic mappings: rebuild an element tree
 from the rows.  What cannot be rebuilt (comments, processing
 instructions, entity references, prolog, layout whitespace) is exactly
 the information loss the paper charges these mappings with; the
-round-trip benchmark (CLM3) measures it with
-:func:`repro.core.roundtrip.fidelity`.
+CLM3 round-trip tests measure it with
+:func:`repro.core.roundtrip.compare`.
 """
 
 from __future__ import annotations

@@ -157,6 +157,21 @@ class TestStoreMany:
         assert outcome.classification == "transient"
         assert outcome.error_code == "ORA-03113"
 
+    def test_retries_keep_a_faulty_batch_flowing(self, tool):
+        """A seeded 10 % storage-fault rate: retries store most of
+        the batch, and the quarantined rest is accounted for."""
+        docs = [school_doc(n) for n in range(1, 9)]
+        tool.db.faults.arm(site="storage", rate=0.10, seed=1234,
+                           times=None)
+        report = tool.store_many(
+            docs, continue_on_error=True,
+            retry=RetryPolicy(max_attempts=4, base_delay=0.0,
+                              sleep=lambda _s: None))
+        assert len(report.stored) >= len(docs) // 2
+        assert len(report.stored) + len(report.quarantined) == len(docs)
+        assert sum(outcome.attempts for outcome in report.outcomes) \
+            > len(docs)
+
     def test_permanent_fault_not_retried(self, tool):
         sleeps = []
         report = tool.store_many(

@@ -2,12 +2,19 @@
 
 import pytest
 
+from repro.core import XML2Oracle, analyze, generate_schema
 from repro.core.naming import (
     NameGenerator,
     SchemaIdAllocator,
     clean_xml_name,
 )
+from repro.dtd import parse_dtd
 from repro.ordb.identifiers import MAX_IDENTIFIER_LENGTH, is_reserved
+from repro.workloads import CORPUS, university_dtd
+
+#: every Table 1 prefix plus the documented extensions
+_PREFIXES = ("Tab", "attr", "attrList", "ID", "Type_", "TypeAttrL_",
+             "TypeVA_", "TypeNT_", "TypeRef_", "OView_", "ref")
 
 
 @pytest.fixture
@@ -98,6 +105,49 @@ class TestUniquenessAndLegality:
 
     def test_leading_digit_prefixed(self):
         assert clean_xml_name("1abc").startswith("X")
+
+    def test_hostile_names_stay_unique_and_legal(self, names):
+        """Keywords, 'Tab' + 'le' = reserved 'Table', the length
+        limit and characters Oracle identifiers cannot carry."""
+        hostile = ["ORDER", "GROUP", "SELECT", "le",
+                   "X" * 64, "X" * 64 + "Y", "ns:colon-name.dot"]
+        generated = [names.table(name) for name in hostile]
+        assert len(set(generated)) == len(generated)
+        for name in generated:
+            assert len(name) <= MAX_IDENTIFIER_LENGTH
+            assert not is_reserved(name)
+
+    def test_many_elements_get_distinct_names(self, names):
+        generated = []
+        for index in range(200):
+            element = f"Element{index}"
+            generated += [names.table(element),
+                          names.object_type(element),
+                          names.attribute(element),
+                          names.varray_type(element)]
+        assert len(set(generated)) == len(generated)
+
+
+class TestGeneratedSchemas:
+    def test_university_identifiers_conform(self):
+        text = generate_schema(analyze(university_dtd())).text
+        identifiers = {
+            token
+            for line in text.splitlines()
+            for token in line.replace("(", " ").replace(")", " ")
+            .replace(",", " ").split()
+            if token.startswith(_PREFIXES)}
+        assert identifiers
+        for name in identifiers:
+            assert len(name) <= MAX_IDENTIFIER_LENGTH, name
+            assert not is_reserved(name), name
+
+    @pytest.mark.parametrize("corpus", sorted(CORPUS))
+    def test_corpus_schema_executes(self, corpus):
+        dtd_text, _document = CORPUS[corpus]
+        tool = XML2Oracle(metadata=False)
+        tool.register_schema(parse_dtd(dtd_text))
+        assert tool.schemas[0].script.statements
 
 
 class TestSchemaIds:

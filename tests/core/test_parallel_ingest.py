@@ -10,6 +10,7 @@ meta-table stay consistent with exactly the surviving documents.
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -188,7 +189,11 @@ class TestCrashConsistencyUnderConcurrency:
     def test_fault_during_abort_batch_still_compensates(self):
         docs = make_docs(6)
         docs[4] = "<Uni><Wrong/></Uni>"
-        tool = make_tool(commit_latency=0.001)
+        tool = make_tool()
+        # a commit-site predicate that never fires: its sleep widens
+        # the interleavings of the workers' commits
+        tool.db.faults.arm(site="commit", times=None,
+                           predicate=lambda _event: time.sleep(0.001))
         with pytest.raises(XMLValidityError):
             tool.store_many(docs, workers=3, retry=NO_RETRY)
         for table in tool.db.catalog.tables.values():

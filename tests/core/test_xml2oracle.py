@@ -2,8 +2,14 @@
 
 import pytest
 
-from repro.core import XML2Oracle, compare, infer_idref_targets
-from repro.ordb import CompatibilityMode
+from repro.core import (
+    MappingConfig,
+    XML2Oracle,
+    compare,
+    infer_idref_targets,
+)
+from repro.core.plan import CollectionFlavor
+from repro.ordb import CompatibilityMode, ValueTooLarge
 from repro.workloads import (
     BIBLIOGRAPHY_DOCUMENT,
     BIBLIOGRAPHY_DTD,
@@ -179,3 +185,59 @@ class TestOracle8EndToEnd:
     def test_mode_property(self):
         tool = XML2Oracle(mode=CompatibilityMode.ORACLE8)
         assert tool.mode is CompatibilityMode.ORACLE8
+
+
+class TestDesignAblations:
+    """The generator's unmeasured design choices (DESIGN.md Section 5)
+    keep the single INSERT and a lossless round trip either way."""
+
+    @staticmethod
+    def tool(config=None, metadata=False) -> XML2Oracle:
+        tool = XML2Oracle(config=config, metadata=metadata)
+        tool.register_schema(UNIVERSITY_DTD)
+        return tool
+
+    @pytest.mark.parametrize("flavor", [CollectionFlavor.VARRAY,
+                                        CollectionFlavor.NESTED_TABLE],
+                             ids=["varray", "nested-table"])
+    def test_collection_flavor(self, flavor):
+        """Section 4.2: 'nested tables work in nearly the same
+        manner'."""
+        tool = self.tool(MappingConfig(collection_flavor=flavor))
+        stored = tool.store(make_university(students=3))
+        assert stored.load_result.insert_count == 1
+        assert tool.query(
+            "/University/Student/Course/Professor/PName").rows
+
+    @pytest.mark.parametrize("wrapper", [False, True],
+                             ids=["inline-attrs", "attrlist-types"])
+    def test_attribute_list_types(self, wrapper):
+        """Section 4.4's TypeAttrL_ wrapper vs Section 4.2's inline
+        attributes: the same fidelity."""
+        tool = self.tool(MappingConfig(attribute_list_types=wrapper))
+        document = make_university(students=3)
+        stored = tool.store(document)
+        assert compare(document, tool.fetch(stored.doc_id)).score == 1.0
+
+    @pytest.mark.parametrize("metadata", [False, True],
+                             ids=["no-metadata", "with-metadata"])
+    def test_metadata_adds_no_insert_to_the_document(self, metadata):
+        tool = self.tool(metadata=metadata)
+        stored = tool.store(make_university(students=3))
+        assert stored.load_result.insert_count == 1
+
+    @pytest.mark.parametrize("length", [255, 4000],
+                             ids=["varchar-255", "varchar-4000"])
+    def test_text_length(self, length):
+        """Section 4.1 picks VARCHAR(4000) 'to avoid value assignment
+        conflicts'; a smaller default rejects long text."""
+        tool = self.tool(MappingConfig(text_length=length))
+        stored = tool.store(make_university(students=3))
+        assert stored.load_result.insert_count == 1
+        long_text = parse(f"<University><StudyCourse>{'x' * 1000}"
+                          f"</StudyCourse></University>")
+        if length < 1000:
+            with pytest.raises(ValueTooLarge):
+                tool.store(long_text)
+        else:
+            tool.store(long_text)

@@ -116,3 +116,22 @@ class TestSelfRecursion:
         tool.sql("DROP TYPE Type_Dept FORCE")
         assert "TYPE_DEPT" not in tool.db.catalog.types
         assert "TABDEPT" not in tool.db.catalog.tables
+
+
+def nested_org(depth: int) -> str:
+    """An organization whose departments nest *depth* levels deep."""
+    opening = "".join(
+        f"<Dept><DName>level{level}</DName>" for level in range(depth))
+    return f"<Organization>{opening}{'</Dept>' * depth}</Organization>"
+
+
+class TestRecursionDepth:
+    @pytest.mark.parametrize("depth", [4, 16, 48])
+    def test_one_insert_per_level(self, depth):
+        """One row per Dept plus the root, at every depth."""
+        tool = XML2Oracle(metadata=False)
+        tool.register_schema(ORG_CHART_DTD)
+        document = parse(nested_org(depth))
+        stored = tool.store(document)
+        assert stored.load_result.insert_count == depth + 1
+        assert compare(document, tool.fetch(stored.doc_id)).score == 1.0

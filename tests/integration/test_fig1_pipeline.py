@@ -7,8 +7,15 @@ tree structures feeding the mapping step.
 
 import pytest
 
+from repro.core import XML2Oracle
 from repro.dtd import DTDParser, build_tree, validate
-from repro.workloads import SAMPLE_DOCUMENT, UNIVERSITY_DTD
+from repro.obs import Observability
+from repro.workloads import (
+    SAMPLE_DOCUMENT,
+    UNIVERSITY_DTD,
+    make_university_xml,
+    university_dtd,
+)
 from repro.xmlkit import XMLParser, XMLSyntaxError
 
 
@@ -44,6 +51,7 @@ class TestPipeline:
         """The DTD parser works without any document (non-validating
         parser role of the Wutka component)."""
         dtd = DTDParser().parse(UNIVERSITY_DTD)
+        assert len(dtd.elements) == 12
         assert set(dtd.elements) >= {"University", "Student", "Course",
                                      "Professor"}
         assert dtd.entities.expand_general("cs") == "Computer Science"
@@ -66,3 +74,26 @@ class TestPipeline:
         assert by_name["Student"].is_set_valued
         assert by_name["CreditPts"].is_optional
         assert not by_name["Dept"].is_optional
+
+
+class TestPipelineAtScale:
+    @pytest.mark.parametrize("students", [10, 100])
+    def test_generated_document_parses_and_validates(self, students):
+        document = XMLParser().parse(
+            make_university_xml(students=students))
+        assert len(document.root_element.find_all("Student")) == students
+        assert validate(document, university_dtd()).valid
+
+    def test_traced_store_records_every_pipeline_phase(self):
+        """Text in, so the parse and validate stages run inside the
+        traced store."""
+        obs = Observability(enabled=True)
+        tool = XML2Oracle(obs=obs)
+        tool.register_schema(university_dtd())
+        tool.store(make_university_xml(students=3))
+        phases = {name for name in obs.metrics.names()
+                  if name.startswith("phase.")}
+        assert phases >= {"phase.parse_seconds",
+                          "phase.validate_seconds",
+                          "phase.shred_seconds",
+                          "phase.store_seconds"}

@@ -6,7 +6,12 @@ reference the same element plan, as Section 6.2 recommends.
 """
 
 from repro.core import XML2Oracle, analyze, compare
-from repro.dtd import build_tree, parse_dtd, shared_elements
+from repro.dtd import (
+    build_tree,
+    element_graph,
+    parse_dtd,
+    shared_elements,
+)
 from repro.workloads import (
     SHARED_ELEMENT_DOCUMENT,
     SHARED_ELEMENT_DTD,
@@ -28,6 +33,13 @@ class TestSharedElementAnalysis:
         duplicated = [node for node in addresses
                       if node.duplicate_of == "Address"]
         assert duplicated
+
+    def test_tree_is_larger_than_the_element_graph(self):
+        """Duplication in numbers: 16 tree nodes for 8 elements."""
+        dtd = parse_dtd(SHARED_ELEMENT_DTD)
+        tree_nodes = sum(1 for _ in build_tree(dtd).walk())
+        graph_nodes = element_graph(dtd).number_of_nodes()
+        assert (tree_nodes, graph_nodes) == (16, 8)
 
     def test_graph_mode_shares_one_plan(self):
         plan = analyze(parse_dtd(SHARED_ELEMENT_DTD))

@@ -26,6 +26,7 @@ from repro.ordb.indexes import (
     canonical_key,
     find_probe,
 )
+from repro.ordb.sql import ast
 from repro.ordb.values import CollectionValue, ObjectValue, content_key
 
 
@@ -924,3 +925,65 @@ class TestStatsSurface:
         db.execute("SELECT t.a FROM t WHERE t.a = 1")
         assert obs.metrics.get("db.index_lookups").value == 2
         assert obs.metrics.get("db.stmt_cache.hits").value == 1
+
+
+class TestLookupWorkAtScale:
+    """Rows visited per lookup on a 2 000-row table: an index probe
+    touches O(1) rows (point) or exactly the matching slice (range);
+    the forced scan touches the whole table every time."""
+
+    ROWS = 2000
+    PROBES = 10
+    WIDTH = 50
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        db = Database()
+        db.execute("CREATE TABLE big(pk NUMBER PRIMARY KEY,"
+                   " payload VARCHAR2(40))")
+        # pre-parsed INSERTs: the fixture builds data, not SQL text
+        for n in range(self.ROWS):
+            db.execute(ast.Insert(table="big", values=(
+                ast.Literal(n), ast.Literal(f"payload-{n}"))))
+        db.execute("CREATE INDEX big_range ON big (pk)")
+        db.execute("ANALYZE TABLE big")
+        return db
+
+    def scanned_per_query(self, db, sqls, indexed: bool) -> float:
+        db.enable_indexes = indexed
+        db.reset_stats()
+        try:
+            for sql in sqls:
+                db.execute(sql)
+        finally:
+            db.enable_indexes = True
+        return db.stats["rows_scanned"] / len(sqls)
+
+    def test_point_lookup_touches_o1_rows(self, big):
+        step = self.ROWS // self.PROBES
+        sqls = [f"SELECT b.payload FROM big b WHERE b.pk = {n}"
+                for n in range(0, self.ROWS, step)]
+        rendered = big.explain(sqls[0]).render()
+        assert "INDEX UNIQUE LOOKUP" in rendered
+        assert "SCAN" not in rendered
+        indexed = self.scanned_per_query(big, sqls, indexed=True)
+        assert big.stats["index_lookups"] >= len(sqls)
+        scanned = self.scanned_per_query(big, sqls, indexed=False)
+        assert indexed <= 2
+        assert scanned >= self.ROWS * 0.9
+        assert scanned / indexed >= 20
+
+    def test_range_scan_touches_only_the_slice(self, big):
+        step = self.ROWS // self.PROBES
+        sqls = [f"SELECT b.payload FROM big b WHERE b.pk BETWEEN"
+                f" {low} AND {low + self.WIDTH - 1}"
+                for low in range(0, self.ROWS - self.WIDTH, step)]
+        rendered = big.explain(sqls[0]).render()
+        assert "RANGE INDEX SCAN" in rendered
+        assert "cost=" in rendered
+        indexed = self.scanned_per_query(big, sqls, indexed=True)
+        assert big.stats["range_index_lookups"] == len(sqls)
+        assert big.stats["planner_full_scan_fallbacks"] == 0
+        assert indexed == self.WIDTH
+        assert self.scanned_per_query(big, sqls, indexed=False) \
+            == self.ROWS

@@ -191,6 +191,48 @@ class TestZeroSharedLocks:
             assert db.stats["reader_lock_waits_avoided"] >= 1
             writer.rollback()
 
+    @pytest.mark.parametrize("writers", [1, 4])
+    def test_reader_under_continuous_writers(self, db, writers):
+        """Every sampled SELECT is a snapshot read and none takes an
+        S lock while *writers* sessions keep committing inserts."""
+        db.execute("CREATE TABLE Ledger(n NUMBER)")
+        done = threading.Event()
+        committed = threading.Barrier(writers + 1)
+
+        def writer(wid: int) -> None:
+            with db.session(name=f"writer-{wid}") as session:
+                n = wid * 1_000_000
+                while not done.is_set():
+                    n += 1
+                    with session.transaction():
+                        session.execute(f"INSERT INTO Ledger VALUES({n})")
+                    if n == wid * 1_000_000 + 1:
+                        committed.wait(10.0)
+
+        threads = [threading.Thread(target=writer, args=(wid,),
+                                    daemon=True)
+                   for wid in range(writers)]
+        for thread in threads:
+            thread.start()
+        committed.wait(10.0)  # every writer is up and has committed
+        samples = 30
+        s_before = db.locks.stats["s_acquires"]
+        reads_before = db.stats["snapshot_reads"]
+        try:
+            with db.session(name="reader") as reader:
+                counts = [reader.execute(
+                    "SELECT COUNT(*) FROM Ledger").scalar()
+                    for _ in range(samples)]
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(10.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert counts[0] >= writers
+        assert counts == sorted(counts)  # committed rows only grow
+        assert db.locks.stats["s_acquires"] == s_before
+        assert db.stats["snapshot_reads"] - reads_before >= samples
+
 
 class TestSerializationConflicts:
     def test_first_committer_wins(self, db):

@@ -17,6 +17,7 @@ from repro.ordb import (
     TypeMismatch,
 )
 from repro.ordb.errors import ParseError
+from repro.ordb.sql import ast
 from repro.ordb.textindex import (
     FullTextIndex,
     TrigramIndex,
@@ -439,6 +440,58 @@ class TestPlansAndExplain:
         rendered = plan_text(
             db, "SELECT t.a FROM t WHERE CONTAINS(t.a, 'common')")
         assert "FULLTEXT INDEX SCAN" in rendered
+
+
+class TestContentSearchWorkAtScale:
+    """2 000 documents, 40 of them matching: LIKE '%needle%' and
+    CONTAINS probe their indexes and visit only the matching rows,
+    where the forced scan visits every row per query."""
+
+    ROWS, MATCHES = 2000, 40
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        db = Database()
+        db.execute("CREATE TABLE docs(pk NUMBER PRIMARY KEY,"
+                   " body VARCHAR2(80))")
+        step = self.ROWS // self.MATCHES
+        for n in range(self.ROWS):
+            body = (f"lorem ipsum needle {n} magicword text"
+                    if n % step == 0 else
+                    f"lorem ipsum dolor {n} filler text")
+            db.execute(ast.Insert(table="docs", values=(
+                ast.Literal(n), ast.Literal(body))))
+        db.execute("CREATE INDEX docs_trgm ON docs (body) USING TRIGRAM")
+        db.execute("CREATE INDEX docs_ft ON docs (body)"
+                   " USING FULLTEXT")
+        return db
+
+    @pytest.mark.parametrize("predicate, operation, counter", [
+        ("d.body LIKE '%needle%'", "TRIGRAM INDEX SCAN",
+         "trigram_lookups"),
+        ("CONTAINS(d.body, 'magicword')", "FULLTEXT INDEX SCAN",
+         "fulltext_lookups"),
+    ], ids=["trigram", "fulltext"])
+    def test_probe_beats_the_scan_in_rows_visited(
+            self, corpus, predicate, operation, counter):
+        sql = f"SELECT d.pk FROM docs d WHERE {predicate}"
+        rendered = plan_text(corpus, sql)
+        assert operation in rendered
+        assert "cost=" in rendered
+        corpus.reset_stats()
+        for _ in range(5):
+            assert corpus.execute(sql).rowcount == self.MATCHES
+        assert corpus.stats[counter] == 5
+        assert corpus.stats["planner_full_scan_fallbacks"] == 0
+        probed = corpus.stats["rows_scanned"]
+        corpus.enable_indexes = False
+        corpus.reset_stats()
+        try:
+            assert corpus.execute(sql).rowcount == self.MATCHES
+        finally:
+            corpus.enable_indexes = True
+        assert corpus.stats["rows_scanned"] == self.ROWS
+        assert probed == 5 * self.MATCHES
 
 
 # -- seeded differential property ---------------------------------------------------

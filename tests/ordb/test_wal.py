@@ -12,6 +12,8 @@ properties under *any* byte-level damage:
 """
 
 import os
+import threading
+import time
 
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +27,7 @@ from repro.ordb import (
     encode_record,
     encode_transaction,
 )
-from repro.ordb.wal import FRAME_OVERHEAD, MAGIC
+from repro.ordb.wal import FRAME_OVERHEAD, MAGIC, GroupCommitter
 
 _payloads = st.lists(st.binary(max_size=200), max_size=8)
 
@@ -235,3 +237,50 @@ def test_database_survives_torn_commit(tmp_path):
             recovered.execute("SELECT t.n FROM T t ORDER BY t.n")
             .rows] == [1, 3]
     recovered.close()
+
+
+def test_group_commit_batches_committers_queued_behind_the_leader(
+        tmp_path):
+    """At ``fsync=always``, committers that arrive while the leader is
+    inside its write share the next batch and its one fsync.  A
+    never-firing ``wal`` predicate holds the leader's first frame
+    until every other committer has queued, so the batching is
+    deterministic: one batch of 1, then one batch of the rest."""
+    committers = 8
+    faults = FaultInjector()
+    log = WriteAheadLog(tmp_path / "wal.log", policy="always",
+                        faults=faults)
+    log.open()
+    group = GroupCommitter(log)
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_first_frame(event) -> bool:
+        if not entered.is_set():
+            entered.set()
+            release.wait(10.0)
+        return False
+
+    faults.arm(site="wal", predicate=hold_first_frame, times=None)
+    payloads = [b"txn-%d" % n for n in range(committers)]
+    threads = [threading.Thread(target=group.commit,
+                                args=(lambda p=payload: p,))
+               for payload in payloads]
+    threads[0].start()
+    assert entered.wait(10.0)  # the leader is inside its write
+    for thread in threads[1:]:
+        thread.start()
+    deadline = time.monotonic() + 10.0
+    while len(group._queue) < committers - 1:
+        assert time.monotonic() < deadline, "committers never queued"
+        time.sleep(0.001)
+    release.set()
+    for thread in threads:
+        thread.join(10.0)
+    assert not any(thread.is_alive() for thread in threads)
+    log.close()
+    assert group.records == committers
+    assert group.batches < group.records
+    assert group.batch_sizes == {1: 1, committers - 1: 1}
+    reopened = WriteAheadLog(tmp_path / "wal.log")
+    assert sorted(reopened.open()) == sorted(payloads)
+    reopened.close()
