@@ -61,7 +61,6 @@ from repro.ordb import (
     Database,
     FSYNC_POLICIES,
     ShardedDatabase,
-    verify_integrity,
 )
 from repro.ordb.errors import OrdbError, is_transient
 from repro.xmlkit import parse as parse_xml
@@ -418,6 +417,9 @@ def cmd_stats(args) -> int:
     print(report.describe(), file=sys.stderr)
     if args.text:
         print(obs.render_text())
+        print()
+        for key, value in tool.db.stats.items():
+            print(f"{key}: {value}")
     else:
         payload = obs.export()
         payload["ingest"] = report.as_dict()
@@ -524,8 +526,7 @@ def cmd_db_recover(args) -> int:
           f" {len(db.catalog.views)} view(s)")
     status = 0
     if args.verify:
-        problems = (db.verify() if isinstance(db, ShardedDatabase)
-                    else verify_integrity(db))
+        problems = db.verify()
         if problems:
             for problem in problems:
                 print(f"integrity: {problem}", file=sys.stderr)

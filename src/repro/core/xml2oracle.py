@@ -238,11 +238,8 @@ class XML2Oracle:
         (parallel ingest gives each worker its own).
         """
         with self.obs.phase("store", doc=doc_name or None):
-            stored = self._store(document, schema, doc_name, url,
-                                 session)
-        if self.obs.enabled:
-            self.obs.metrics.counter("ingest.documents", unit="documents").inc()
-        return stored
+            return self._store(document, schema, doc_name, url,
+                               session)
 
     def _store(self, document: Document | Element | str,
                schema: RegisteredSchema | None,
@@ -449,13 +446,8 @@ class XML2Oracle:
                 kind = classify(error)
                 if (kind == "transient"
                         and attempt < policy.max_attempts):
-                    if self.obs.enabled:
-                        self.obs.metrics.counter("ingest.retries", unit="retries").inc()
                     policy.wait(attempt)
                     continue
-                if self.obs.enabled:
-                    self.obs.metrics.counter(
-                        "ingest.quarantined", unit="documents").inc()
                 return DocumentOutcome(
                     index=index, doc_name=doc_name,
                     status="quarantined", attempts=attempt,

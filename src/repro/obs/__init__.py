@@ -6,8 +6,9 @@ facade driving it.  It is **disabled by default** — the tracer is the
 no-op :data:`~repro.obs.tracing.NULL_TRACER`, the engine's hot path
 pays a single attribute check, and the paper-reproduction benchmarks
 measure the same code they always did.  Enabled, the same object
-collects a span tree per pipeline run, a metrics registry and a
-slow-query log:
+collects a span tree per pipeline run, a registry of latency and
+batch-size histograms and a slow-query log (plain counts live in each
+component's always-on ``stats`` dict, not here):
 
 >>> from repro.obs import Observability
 >>> obs = Observability(enabled=True)
@@ -25,8 +26,6 @@ import time
 
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -141,9 +140,7 @@ class Observability:
 
 
 __all__ = [
-    "Counter",
     "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "NULL_TRACER",

@@ -1,15 +1,14 @@
-"""Metrics: counters, gauges and fixed-bucket histograms.
+"""Metrics: fixed-bucket histograms of timings and batch sizes.
 
-The registry holds every instrument by dotted name and exports the
+The registry holds every histogram by dotted name and exports the
 whole set as JSON (machines) or a plain-text page (humans).  Units are
 part of the instrument, not the name, so ``db.statement_seconds`` is a
-histogram with ``unit="s"`` rather than a naming convention.
+histogram with ``unit="s"`` rather than a naming convention.  Plain
+counts are not kept here: each lives once, in the ``stats`` dict of
+the component it describes (``Database.stats``, ``Server.stats``, the
+ingest report), where it counts whether or not observability is on.
 
 >>> registry = MetricsRegistry()
->>> registry.counter("db.statements").inc()
->>> registry.counter("db.statements").inc(2)
->>> registry.counter("db.statements").value
-3
 >>> registry.histogram("db.statement_seconds", unit="s").observe(0.004)
 >>> registry.histogram("db.statement_seconds").count
 1
@@ -28,82 +27,6 @@ DEFAULT_LATENCY_BUCKETS = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
     0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 )
-
-
-@dataclass
-class Counter:
-    """A monotonically increasing count (resettable for tests).
-
-    Updates are atomic: server threads, pool workers and per-session
-    handlers all bump shared instruments concurrently, and Python's
-    ``+=`` on an attribute is a read-modify-write that can lose
-    increments without the lock.
-    """
-
-    name: str
-    unit: str = ""
-    help: str = ""
-    value: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
-
-    kind = "counter"
-
-    def inc(self, amount: int = 1) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up; use a gauge")
-        with self._lock:
-            self.value += amount
-
-    def reset(self) -> None:
-        with self._lock:
-            self.value = 0
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "unit": self.unit, "value": self.value}
-
-
-@dataclass
-class Gauge:
-    """A value that goes up and down (e.g. open transactions).
-
-    ``high_water`` remembers the largest value ever set — the figure
-    capacity questions actually need ("how deep did the queue get?"),
-    which a point-in-time sample always misses.
-    """
-
-    name: str
-    unit: str = ""
-    help: str = ""
-    value: float = 0.0
-    high_water: float = 0.0
-    _lock: threading.Lock = field(default_factory=threading.Lock,
-                                  repr=False, compare=False)
-
-    kind = "gauge"
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = value
-            self.high_water = max(self.high_water, value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value += amount
-            self.high_water = max(self.high_water, self.value)
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self.value -= amount
-
-    def reset(self) -> None:
-        with self._lock:
-            self.value = 0.0
-            self.high_water = 0.0
-
-    def as_dict(self) -> dict:
-        return {"kind": self.kind, "unit": self.unit,
-                "value": self.value, "high_water": self.high_water}
 
 
 @dataclass
@@ -198,54 +121,36 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """All instruments of one observed system, by dotted name."""
+    """All histograms of one observed system, by dotted name."""
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Histogram] = {}
         # two threads asking for the same not-yet-registered name must
-        # get the same instrument, not two (one of which loses every
-        # update the other records)
+        # get the same histogram, not two (one of which loses every
+        # sample the other records)
         self._create_lock = threading.Lock()
 
-    def _get_or_create(self, name: str, factory, kind: str):
+    def histogram(self, name: str, unit: str = "", help: str = "",
+                  buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
+                  ) -> Histogram:
         instrument = self._instruments.get(name)
         if instrument is None:
             with self._create_lock:
                 instrument = self._instruments.get(name)
                 if instrument is None:
-                    instrument = factory()
+                    instrument = Histogram(name, unit, help, buckets)
                     self._instruments[name] = instrument
-        if instrument.kind != kind:
-            raise TypeError(
-                f"metric {name!r} is a {instrument.kind},"
-                f" not a {kind}")
         return instrument
 
-    def counter(self, name: str, unit: str = "",
-                help: str = "") -> Counter:
-        return self._get_or_create(
-            name, lambda: Counter(name, unit, help), "counter")
-
-    def gauge(self, name: str, unit: str = "", help: str = "") -> Gauge:
-        return self._get_or_create(
-            name, lambda: Gauge(name, unit, help), "gauge")
-
-    def histogram(self, name: str, unit: str = "", help: str = "",
-                  buckets: tuple[float, ...] = DEFAULT_LATENCY_BUCKETS
-                  ) -> Histogram:
-        return self._get_or_create(
-            name,
-            lambda: Histogram(name, unit, help, buckets), "histogram")
-
-    def get(self, name: str):
-        """The named instrument, or None."""
+    def get(self, name: str) -> Histogram | None:
+        """The named histogram, or None."""
         return self._instruments.get(name)
 
     def names(self) -> list[str]:
         return sorted(self._instruments)
 
     def reset(self) -> None:
-        """Zero every instrument (the instruments stay registered)."""
+        """Zero every histogram (the histograms stay registered)."""
         for instrument in self._instruments.values():
             instrument.reset()
 
@@ -260,19 +165,16 @@ class MetricsRegistry:
                           default=_json_default)
 
     def render_text(self) -> str:
-        """A plain-text metrics page, one instrument per block."""
+        """A plain-text metrics page, one line per histogram."""
         lines: list[str] = []
         for name in self.names():
             instrument = self._instruments[name]
             unit = f" ({instrument.unit})" if instrument.unit else ""
-            if isinstance(instrument, Histogram):
-                lines.append(
-                    f"{name}{unit}: count={instrument.count}"
-                    f" sum={instrument.total:.6f}"
-                    f" mean={instrument.mean:.6f}"
-                    f" p95<={instrument.quantile(0.95):.6g}")
-            else:
-                lines.append(f"{name}{unit}: {instrument.value}")
+            lines.append(
+                f"{name}{unit}: count={instrument.count}"
+                f" sum={instrument.total:.6f}"
+                f" mean={instrument.mean:.6f}"
+                f" p95<={instrument.quantile(0.95):.6g}")
         return "\n".join(lines)
 
 

@@ -124,46 +124,6 @@ from .values import (
 from .datatypes import TypeAttribute
 
 
-#: ``Database.stats`` / ``ShardedDatabase.router_stats`` key -> (name,
-#: unit) of the ``db.*`` counter that mirrors it while observability
-#: is enabled; keys absent here are stats-only.
-MIRRORED_COUNTERS = {
-    "lock_waits": ("db.lock_waits", "waits"),
-    "lock_timeouts": ("db.lock_timeouts", "timeouts"),
-    "deadlocks": ("db.deadlocks", "deadlocks"),
-    "gc_versions_pruned": ("db.gc_versions_pruned", "versions"),
-    "gc_tombstones_pruned": ("db.gc_tombstones_pruned", "rows"),
-    "wal_appends": ("db.wal_appends", "records"),
-    "wal_bytes": ("db.wal_bytes", "bytes"),
-    "group_commit_batches": ("db.group_commit_batches", "batches"),
-    "checkpoints": ("db.checkpoints", "checkpoints"),
-    "snapshot_reads": ("db.snapshot_reads", "statements"),
-    "reader_lock_waits_avoided": ("db.reader_lock_waits_avoided",
-                                  "statements"),
-    "stmt_cache_hits": ("db.stmt_cache.hits", "hits"),
-    "stmt_cache_misses": ("db.stmt_cache.misses", "misses"),
-    "view_cache_hits": ("db.view_cache.hits", "hits"),
-    "view_cache_misses": ("db.view_cache.misses", "misses"),
-    "vector_scans": ("db.vector_scans", "statements"),
-    "index_lookups": ("db.index_lookups", "lookups"),
-    "range_index_lookups": ("db.range_index_lookups", "lookups"),
-    "fulltext_lookups": ("db.fulltext_lookups", "lookups"),
-    "trigram_lookups": ("db.trigram_lookups", "lookups"),
-    "planner_full_scan_fallbacks": ("db.planner_full_scan_fallbacks",
-                                    "scans"),
-    "shard_fanouts": ("db.shard_fanouts", "statements"),
-}
-
-
-def count(stats: dict[str, int], obs: Observability, key: str,
-          n: int = 1) -> None:
-    """Add *n* to ``stats[key]`` and to its mirrored metric, if any."""
-    stats[key] += n
-    mirror = MIRRORED_COUNTERS.get(key) if obs.enabled else None
-    if mirror is not None:
-        obs.metrics.counter(mirror[0], unit=mirror[1]).inc(n)
-
-
 class _Snapshot:
     """Per-statement snapshot context for one MVCC SELECT.
 
@@ -201,7 +161,6 @@ class Database:
         self.evaluator = Evaluator(self)
         self.stats: dict[str, int] = {}
         self.faults = FaultInjector()
-        self.faults.on_fire = self._fault_fired
         #: observability hooks; disabled by default (zero-cost path)
         self.obs = obs if obs is not None else Observability()
         #: index-selection switch; False forces the seed nested-loop
@@ -219,6 +178,10 @@ class Database:
         #: guards the parsed-statement LRU, which is consulted before
         #: the latch is taken (parsing must not serialize sessions)
         self._stmt_cache_lock = threading.Lock()
+        #: guards the ``stats`` counts two sessions can bump at once
+        #: outside every other engine lock (statement, error, commit
+        #: and dereference totals)
+        self._stats_lock = threading.Lock()
         self._active_journal: UndoJournal | None = None
         #: monotonic deadline of the statement currently holding the
         #: latch (statement bodies are serialized by it, so one slot
@@ -299,15 +262,12 @@ class Database:
                     self.wal, on_batch=self._group_batch_written)
             self.reset_stats()
 
-    def _fault_fired(self, event) -> None:
-        if self.obs.enabled:
-            self.obs.metrics.counter("faults.injected", unit="faults").inc()
-
     def _lock_event(self, kind: str, resource: str, mode: str,
                     seconds: float) -> None:
-        """Bridge lock-manager contention events into stats/metrics."""
-        self._count({"wait": "lock_waits", "timeout": "lock_timeouts",
-                     "deadlock": "deadlocks"}[kind])
+        """Bridge lock-manager contention events into stats/metrics
+        (called under the lock manager's own lock)."""
+        self.stats[{"wait": "lock_waits", "timeout": "lock_timeouts",
+                    "deadlock": "deadlocks"}[kind]] += 1
         if kind == "wait" and self.obs.enabled:
             self.obs.metrics.histogram("db.lock_wait_seconds",
                                        unit="s").observe(seconds)
@@ -316,13 +276,15 @@ class Database:
     def mode(self) -> CompatibilityMode:
         return self.catalog.mode
 
-    def _count(self, key: str, n: int = 1) -> None:
-        count(self.stats, self.obs, key, n)
-
     def reset_stats(self) -> None:
         """Zero the operation counters used by the benchmarks."""
         self.stats = {
             "statements": 0,
+            "errors": 0,
+            "rows_touched": 0,
+            "commits": 0,
+            "rollbacks": 0,
+            "savepoint_rollbacks": 0,
             "inserts": 0,
             "selects": 0,
             "rows_scanned": 0,
@@ -367,17 +329,10 @@ class Database:
         """
         session = Session(self, next(self._next_sid), name)
         self._open_sessions.add(session.sid)
-        if self.obs.enabled:
-            self.obs.metrics.gauge("db.active_sessions",
-                                   unit="sessions").inc()
         return session
 
     def _session_closed(self, session: Session) -> None:
-        if session.sid in self._open_sessions:
-            self._open_sessions.discard(session.sid)
-            if self.obs.enabled:
-                self.obs.metrics.gauge("db.active_sessions",
-                                       unit="sessions").dec()
+        self._open_sessions.discard(session.sid)
 
     def _txn_started(self, session: Session) -> None:
         with self._txn_lock:
@@ -397,18 +352,12 @@ class Database:
         snapshot (SET TRANSACTION READ ONLY / SERIALIZABLE)."""
         with self._txn_lock:
             self._pinned[session.sid] = ts
-        if self.obs.enabled:
-            self.obs.metrics.gauge("db.pinned_snapshots",
-                                   unit="snapshots").inc()
 
     def _unpin_snapshot(self, session: Session) -> None:
         with self._txn_lock:
             pinned = self._pinned.pop(session.sid, None)
         if pinned is None:
             return
-        if self.obs.enabled:
-            self.obs.metrics.gauge("db.pinned_snapshots",
-                                   unit="snapshots").dec()
         if self._gc_backlog and not self._pinned:
             # the horizon just advanced past deferred garbage
             self.vacuum()
@@ -513,7 +462,8 @@ class Database:
             if row.deleted:
                 table.data.remove_tombstone(row)
                 pruned_tombstones += 1
-        self._note_gc(pruned_versions, pruned_tombstones)
+        self.stats["gc_versions_pruned"] += pruned_versions
+        self.stats["gc_tombstones_pruned"] += pruned_tombstones
 
     def _snapshot_horizon(self) -> int:
         with self._txn_lock:
@@ -557,7 +507,8 @@ class Database:
                             kept.append(row)
                     data.tombstones[:] = kept
             self._gc_backlog = False
-            self._note_gc(pruned_versions, pruned_tombstones)
+            self.stats["gc_versions_pruned"] += pruned_versions
+            self.stats["gc_tombstones_pruned"] += pruned_tombstones
         return {"versions_pruned": pruned_versions,
                 "tombstones_pruned": pruned_tombstones,
                 "horizon": horizon}
@@ -587,12 +538,6 @@ class Database:
             del chain[:keep_from]
         self._version_records -= dropped
         return dropped
-
-    def _note_gc(self, versions: int, tombstones: int) -> None:
-        if not versions and not tombstones:
-            return
-        self._count("gc_versions_pruned", versions)
-        self._count("gc_tombstones_pruned", tombstones)
 
     def mvcc_info(self) -> dict:
         """A point-in-time summary of the version store (for tests,
@@ -668,11 +613,8 @@ class Database:
                 span.set(transactions=transactions,
                          statements=statements)
         if self.obs.enabled:
-            metrics = self.obs.metrics
-            metrics.histogram("db.recovery_seconds",
-                              unit="s").observe(elapsed)
-            metrics.counter("db.recovered_transactions",
-                            unit="transactions").inc(transactions)
+            self.obs.metrics.histogram("db.recovery_seconds",
+                                       unit="s").observe(elapsed)
 
     def _rebuild_content_indexes(self) -> None:
         """Recompute every posting-list index from its table's rows.
@@ -711,7 +653,7 @@ class Database:
                 self._commit_seq = seq
                 return payload
 
-            written, _size = self.group_committer.commit(encode)
+            self.group_committer.commit(encode)
             self._commits_since_checkpoint += 1
         else:
             with self.wal.lock:
@@ -720,14 +662,18 @@ class Database:
                                                              statements))
                 self._commit_seq = seq
                 self._commits_since_checkpoint += 1
-        self._count("wal_appends")
-        self._count("wal_bytes", written)
+                self.stats["wal_appends"] += 1
+                self.stats["wal_bytes"] += written
 
-    def _group_batch_written(self, size: int) -> None:
-        """Stats hook: one group-commit batch of *size* records went
-        durable with a single append+fsync."""
-        self._count("group_commit_batches")
-        self._count("group_commit_records", size)
+    def _group_batch_written(self, frame_sizes: list[int]) -> None:
+        """Stats hook (runs under the WAL lock): one group-commit
+        batch of ``len(frame_sizes)`` records went durable with a
+        single append+fsync."""
+        size = len(frame_sizes)
+        self.stats["wal_appends"] += size
+        self.stats["wal_bytes"] += sum(frame_sizes)
+        self.stats["group_commit_batches"] += 1
+        self.stats["group_commit_records"] += size
         if self.obs.enabled:
             self.obs.metrics.histogram("db.group_commit_batch_size",
                                        unit="records").observe(size)
@@ -762,8 +708,13 @@ class Database:
                     info = checkpoints.write_checkpoint(self)
                     self.wal.truncate()
                     self._commits_since_checkpoint = 0
-        self._count("checkpoints")
+                    self.stats["checkpoints"] += 1
         return info
+
+    def verify(self) -> list[str]:
+        """Integrity sweep (indexes consistent with their rows, every
+        REF resolves); one line per problem found."""
+        return checkpoints.verify_integrity(self)
 
     def _maybe_autocheckpoint(self) -> None:
         """Checkpoint when the configured commit interval elapsed;
@@ -803,9 +754,14 @@ class Database:
         :class:`~repro.ordb.select.Partial` — the shard router merges
         those and finalises the Result itself.
         """
-        if not self.obs.enabled:
-            return self._execute(statement, session)
-        return self._execute_observed(statement, session)
+        try:
+            if not self.obs.enabled:
+                return self._execute(statement, session)
+            return self._execute_observed(statement, session)
+        except Exception:
+            with self._stats_lock:
+                self.stats["errors"] += 1
+            raise
 
     def _execute_observed(self, statement: str | ast.Statement,
                           session: Session | None = None) -> Result:
@@ -819,16 +775,10 @@ class Database:
             with obs.tracer.span("execute", sql=label[:120]) as span:
                 result = self._execute(statement, session)
                 span.set(rows=result.rowcount)
-        except Exception:
-            obs.metrics.counter("db.errors", unit="errors").inc()
+        finally:
+            elapsed = obs.clock() - start
             obs.metrics.histogram("db.statement_seconds", unit="s") \
-                .observe(obs.clock() - start)
-            raise
-        elapsed = obs.clock() - start
-        obs.metrics.counter("db.statements", unit="statements").inc()
-        obs.metrics.counter("db.rows_touched", unit="rows").inc(result.rowcount)
-        obs.metrics.histogram("db.statement_seconds", unit="s") \
-            .observe(elapsed)
+                .observe(elapsed)
         obs.slow_log.record(label, elapsed, result.rowcount)
         return result
 
@@ -843,7 +793,8 @@ class Database:
         partial = isinstance(statement, PartialSelect)
         if partial:
             statement = statement.query
-        self.stats["statements"] += 1
+        with self._stats_lock:
+            self.stats["statements"] += 1
         handled = self._handle_transaction_control(statement, session)
         if handled is not None:
             return handled
@@ -897,8 +848,11 @@ class Database:
                     snap = self._statement_snapshot(session)
                     self._active_snapshot = snap
                 try:
-                    return self._execute_body(statement, session,
-                                              source, partial)
+                    result = self._execute_body(statement, session,
+                                                source, partial)
+                    # transaction control (handled above) touches no rows
+                    self.stats["rows_touched"] += result.rowcount
+                    return result
                 finally:
                     self._statement_deadline = previous
                     self._view_memo = outer_memo
@@ -906,9 +860,9 @@ class Database:
                     if snap is not None:
                         self._active_snapshot = None
                     if snap is not None and snapshot_read:
-                        self._count("snapshot_reads")
+                        self.stats["snapshot_reads"] += 1
                         if snap.saw_pending:
-                            self._count("reader_lock_waits_avoided")
+                            self.stats["reader_lock_waits_avoided"] += 1
         finally:
             if session.txn is None:  # autocommit: statement-duration
                 self.locks.release_all(session.sid)
@@ -1125,12 +1079,12 @@ class Database:
         with self._stmt_cache_lock:
             cached = self._statement_cache.get(sql)
             if cached is not None:
-                self._count("stmt_cache_hits")
+                self.stats["stmt_cache_hits"] += 1
                 # refresh recency: dicts preserve insertion order
                 self._statement_cache.pop(sql)
                 self._statement_cache[sql] = cached
                 return cached
-            self._count("stmt_cache_misses")
+            self.stats["stmt_cache_misses"] += 1
         parsed = parse_statement(sql)
         with self._stmt_cache_lock:
             if sql not in self._statement_cache:
@@ -1257,7 +1211,8 @@ class Database:
         snapshot timestamp: a concurrently updated row dereferences
         to its old image, a deleted one to its tombstoned image —
         and a row deleted *before* the snapshot is dangling."""
-        self.stats["derefs"] += 1
+        with self._stats_lock:  # facade fetches call in unlatched
+            self.stats["derefs"] += 1
         table = self.catalog.tables.get(ref.table)
         if table is None:
             return None
@@ -1996,7 +1951,7 @@ class Database:
             fetch = statement.fetch_first
             limit = fetch if limit is None else min(limit, fetch)
         if select_scans_vectors(statement):
-            self._count("vector_scans")
+            self.stats["vector_scans"] += 1
         environments = self._enumerate_rows(
             statement, outer_env, None if pipeline.grouped else limit)
         return pipeline.partial(environments, self.evaluator)
@@ -2114,7 +2069,7 @@ class Database:
         rows = probe.index.lookup(tuple(values))
         if rows is None:
             return None
-        self._count("index_lookups")
+        self.stats["index_lookups"] += 1
         return rows
 
     def _range_probe_rows(self, probe: RangeProbeSpec,
@@ -2140,7 +2095,7 @@ class Database:
                                             probe.high_inclusive)
         if rows is None:
             return None
-        self._count("range_index_lookups")
+        self.stats["range_index_lookups"] += 1
         return rows
 
     def _fulltext_probe_rows(self, probe: FullTextProbeSpec
@@ -2149,7 +2104,7 @@ class Database:
         lists per AND-group, unioned across OR-groups (the residual
         CONTAINS check still runs per row)."""
         rows = probe.index.lookup(probe.groups)
-        self._count("fulltext_lookups")
+        self.stats["fulltext_lookups"] += 1
         return rows
 
     def _trigram_probe_rows(self, probe: TrigramProbeSpec
@@ -2157,7 +2112,7 @@ class Database:
         """Candidate rows of a trigram LIKE probe; an absent trigram
         proves no row can match (the planner priced that at zero)."""
         rows = probe.index.lookup(probe.trigrams)
-        self._count("trigram_lookups")
+        self.stats["trigram_lookups"] += 1
         return rows
 
     def _execute_probe(self, probe, env: Env) -> list[Row] | None:
@@ -2215,7 +2170,7 @@ class Database:
                     # an index could have served this level but the
                     # planner priced it out (or its probe value was
                     # unkeyable at runtime) — observable as a fallback
-                    self._count("planner_full_scan_fallbacks")
+                    self.stats["planner_full_scan_fallbacks"] += 1
                 if snap is not None and table.data.tombstones:
                     # versioned live rows are already in the scan;
                     # deleted ones survive only as tombstones
@@ -2285,9 +2240,9 @@ class Database:
         snapshot."""
         result = self._view_memo.get(view.key)
         if result is not None:
-            self._count("view_cache_hits")
+            self.stats["view_cache_hits"] += 1
             return result
-        self._count("view_cache_misses")
+        self.stats["view_cache_misses"] += 1
         result = self._view_memo[view.key] = self.execute_select(
             view.query, None)
         return result

@@ -109,12 +109,21 @@ class Fault:
     def __post_init__(self) -> None:
         self._rng = random.Random(self.seed)
 
-    def should_fire(self, event: FaultEvent) -> bool:
-        if self.times is not None and self.fired >= self.times:
-            return False
+    @property
+    def exhausted(self) -> bool:
+        return self.times is not None and self.fired >= self.times
+
+    def accepts(self, event: FaultEvent) -> bool:
+        """Site and predicate filter (runs without the injector
+        lock: a predicate may block or consult the injector)."""
         if self.site is not None and event.site != self.site:
             return False
-        if self.predicate is not None and not self.predicate(event):
+        return self.predicate is None or self.predicate(event)
+
+    def should_fire(self, event: FaultEvent) -> bool:
+        """Trigger accounting for one accepted event (caller holds
+        the injector lock)."""
+        if self.exhausted:
             return False
         self.matches += 1
         if self.at is not None:
@@ -122,7 +131,7 @@ class Fault:
         if self.rate > 0.0:
             return self._rng.random() < self.rate
         # no positional trigger at all: fire on every match
-        return self.at is None and self.rate == 0.0
+        return True
 
     def make_error(self, event: FaultEvent) -> OrdbError:
         return self.error(
@@ -138,13 +147,9 @@ class FaultInjector:
         self.events: dict[str, int] = {}
         self.total_events = 0
         self.fired: list[FaultEvent] = []
-        #: called with the event just before a fired fault raises
-        #: (the engine hangs its metrics hook here)
-        self.on_fire: Callable[[FaultEvent], None] | None = None
         # concurrent sessions hit boundaries from many threads; the
         # counters and per-fault trigger state must update atomically
-        # (reentrant: a predicate may consult the injector)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     # -- arming ------------------------------------------------------------------
 
@@ -184,7 +189,14 @@ class FaultInjector:
     # -- the hot path ------------------------------------------------------------
 
     def hit(self, site: str, **context) -> None:
-        """Record one boundary visit; raise if an armed fault fires."""
+        """Record one boundary visit; raise if an armed fault fires.
+
+        Predicates run on a snapshot of the armed faults with the lock
+        released, so one that blocks stalls only its own session; the
+        trigger accounting (``matches``, ``at``, ``rate``, ``times``)
+        then runs under the lock again, so a ``times=1`` fault fires
+        once however many sessions pass its predicate together.
+        """
         with self._lock:
             site_count = self.events.get(site, 0) + 1
             self.events[site] = site_count
@@ -193,10 +205,14 @@ class FaultInjector:
                 return
             event = FaultEvent(site, self.total_events, site_count,
                                context)
-            for fault in self._faults:
-                if fault.should_fire(event):
+            armed = [fault for fault in self._faults
+                     if not fault.exhausted]
+        accepted = [fault for fault in armed if fault.accepts(event)]
+        if not accepted:
+            return
+        with self._lock:
+            for fault in accepted:
+                if fault in self._faults and fault.should_fire(event):
                     fault.fired += 1
                     self.fired.append(event)
-                    if self.on_fire is not None:
-                        self.on_fire(event)
                     raise fault.make_error(event)

@@ -121,9 +121,8 @@ class Session:
             # (only after the WAL accepted the redo, so nothing is
             # ever visible that recovery would not rebuild)
             db._commit_transaction(self.txn)
-        if db.obs.enabled and committed:
-            db.obs.metrics.counter("txn.commits",
-                                   unit="transactions").inc()
+            with db._stats_lock:
+                db.stats["commits"] += 1
         self.txn = None
         db._txn_finished(self)
         db.locks.release_all(self.sid)
@@ -134,12 +133,6 @@ class Session:
         """Undo the open transaction, or just back to savepoint *to*
         (which keeps the transaction — and its locks — alive)."""
         db = self.db
-        if db.obs.enabled and self.txn is not None:
-            db.obs.metrics.counter(
-                "txn.rollbacks_to_savepoint" if to is not None
-                else "txn.rollbacks",
-                unit="rollbacks" if to is not None
-                else "transactions").inc()
         if self.txn is None:
             if to is not None:
                 raise NoSuchSavepoint(
@@ -151,9 +144,11 @@ class Session:
         # run under the engine latch like any statement body
         with db._latch:
             if to is None:
+                db.stats["rollbacks"] += 1
                 self.txn.rollback()
                 self.txn = None
             else:
+                db.stats["savepoint_rollbacks"] += 1
                 self.txn.rollback_to(to)
         if self.txn is None:
             db._txn_finished(self)
@@ -269,6 +264,7 @@ class Session:
             # rollback-everything; only unwind if ours is still open
             if self.txn is txn:
                 with self.db._latch:
+                    self.db.stats["savepoint_rollbacks"] += 1
                     txn.rollback_to(name)
                     txn.release(name)
             raise

@@ -64,7 +64,7 @@ from typing import Callable, Iterator
 from repro.obs import Observability
 
 from .checkpoint import verify_integrity
-from .engine import Database, count
+from .engine import Database
 from .errors import (
     NoSuchSavepoint,
     NotSupported,
@@ -268,8 +268,6 @@ class ShardedDatabase:
             mode=mode, enable_indexes=enable_indexes,
             lock_timeout=lock_timeout, fsync=fsync,
             checkpoint_every=checkpoint_every, group_commit=group_commit)
-        self.router_stats: dict[str, int] = {}
-        self._reset_router_stats()
         #: the ordered statement log rebalance replays (see module doc)
         self._journal: list[tuple] = []
         self._journal_lock = threading.Lock()
@@ -296,6 +294,7 @@ class ShardedDatabase:
         self.shards: list[Database] = [
             self._open_engine(i, self._generation)
             for i in range(n_shards)]
+        self.reset_stats()
         self.faults = RouterFaults(self)
         self.locks = RouterLocks(self)
         self._sessions: dict[int, "ShardedSession"] = {}
@@ -375,20 +374,14 @@ class ShardedDatabase:
                 merged[key] = merged.get(key, 0) + value
         return merged
 
-    def _count(self, key: str, n: int = 1) -> None:
-        count(self.router_stats, self._obs, key, n)
-
-    def _reset_router_stats(self) -> None:
-        self.router_stats = {
+    def reset_stats(self) -> None:
+        self.router_stats: dict[str, int] = {
             "router_statements": 0,
             "shard_fanouts": 0,
             "single_shard_routes": 0,
             "broadcasts": 0,
             "rebalances": 0,
         }
-
-    def reset_stats(self) -> None:
-        self._reset_router_stats()
         for shard_db in self.shards:
             shard_db.reset_stats()
 
@@ -821,7 +814,7 @@ class ShardedSession:
                    source: str | ast.Statement, kind: str) -> Result:
         router = self.router
         router.router_stats["broadcasts"] += 1
-        router._count("shard_fanouts")
+        router.router_stats["shard_fanouts"] += 1
         entry = (kind, source)
         if self._txn:
             results = [self._dispatch(i, statement)
@@ -860,7 +853,7 @@ class ShardedSession:
                 "cross-shard subqueries are not supported; pin a"
                 " document (pin_document) to run shard-locally")
         router = self.router
-        router._count("shard_fanouts")
+        router.router_stats["shard_fanouts"] += 1
         pipeline = Pipeline(statement)
         request = PartialSelect(statement)
         merged = pipeline.merge([self._dispatch(index, request)

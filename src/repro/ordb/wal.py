@@ -362,14 +362,12 @@ class WriteAheadLog:
 class _GroupEntry:
     """One session's pending commit inside a batch."""
 
-    __slots__ = ("encode", "event", "error", "written", "batch_size")
+    __slots__ = ("encode", "event", "error")
 
     def __init__(self, encode: Callable[[], bytes]):
         self.encode = encode
         self.event = threading.Event()
         self.error: BaseException | None = None
-        self.written = 0
-        self.batch_size = 0
 
 
 class GroupCommitter:
@@ -403,9 +401,10 @@ class GroupCommitter:
     WINDOW = 0.001
 
     def __init__(self, wal: WriteAheadLog, *,
-                 on_batch: Callable[[int], None] | None = None):
+                 on_batch: Callable[[list[int]], None] | None = None):
         self.wal = wal
-        #: observer called with each batch's size (stats/histograms)
+        #: observer called under the WAL lock with each durable
+        #: batch's frame sizes in bytes, one per record
         self.on_batch = on_batch
         self._mutex = threading.Lock()
         self._queue: list[_GroupEntry] = []
@@ -415,13 +414,14 @@ class GroupCommitter:
         #: batch size -> number of batches that size
         self.batch_sizes: dict[int, int] = {}
 
-    def commit(self, encode: Callable[[], bytes]) -> tuple[int, int]:
+    def commit(self, encode: Callable[[], bytes]) -> None:
         """Durably commit one payload as part of a batch.
 
         *encode* produces the record payload; it is called by the
-        batch leader under the WAL lock, in queue order.  Returns
-        ``(frame_bytes, batch_size)`` once the record is durable;
-        raises the batch's error if the shared append/fsync failed.
+        batch leader under the WAL lock, in queue order.  Returns once
+        the record is durable; raises the batch's error if the shared
+        append/fsync failed.  Byte and batch counts reach the
+        :attr:`on_batch` observer instead.
         """
         entry = _GroupEntry(encode)
         with self._mutex:
@@ -435,7 +435,6 @@ class GroupCommitter:
             entry.event.wait()
         if entry.error is not None:
             raise entry.error
-        return entry.written, entry.batch_size
 
     def _lead(self) -> None:
         """Drain and write batches until the queue stays empty."""
@@ -500,11 +499,7 @@ class GroupCommitter:
             self.batch_sizes[len(batch)] = (
                 self.batch_sizes.get(len(batch), 0) + 1)
             if self.on_batch is not None:
-                self.on_batch(len(batch))
-        for index, entry in enumerate(batch):
-            if error is not None:
-                entry.error = error
-            else:
-                entry.written = sizes[index]
-                entry.batch_size = len(batch)
+                self.on_batch(sizes)
+        for entry in batch:
+            entry.error = error
             entry.event.set()

@@ -262,10 +262,6 @@ class DatabaseServer:
         connection = _Connection(sock, addr, session)
         with self._conn_lock:
             self._connections.add(connection)
-        if self.db.obs.enabled:
-            self.db.obs.metrics.gauge(
-                "server.connections", unit="connections").set(
-                    len(self._connections))
         try:
             sock.settimeout(self.config.read_timeout)
             wire.expect_magic(sock)
@@ -289,10 +285,6 @@ class DatabaseServer:
         except OrdbError:
             pass
         connection.sock.close()
-        if self.db.obs.enabled:
-            self.db.obs.metrics.gauge(
-                "server.connections", unit="connections").set(
-                    len(self._connections))
 
     def _request_loop(self, connection: _Connection) -> None:
         sock = connection.sock
@@ -351,10 +343,6 @@ class DatabaseServer:
             self.stats["errors"] += 1
             if isinstance(error, StatementTimeout):
                 self.stats["statement_timeouts"] += 1
-                if self.db.obs.enabled:
-                    self.db.obs.metrics.counter(
-                        "server.statement_timeouts",
-                        unit="statements").inc()
             return {"ok": False, "error": wire.encode_error(error)}
         payload["ok"] = True
         return payload
@@ -376,16 +364,7 @@ class DatabaseServer:
             raise ServerShuttingDown(
                 "server is draining; retry against the restarted"
                 " server")
-        if self.db.obs.enabled:
-            self.db.obs.metrics.counter("server.requests",
-                                        unit="requests").inc()
-        try:
-            self.admission.acquire()
-        except OrdbError:
-            if self.db.obs.enabled:
-                self.db.obs.metrics.counter("server.shed",
-                                            unit="requests").inc()
-            raise
+        self.admission.acquire()
         connection.busy = True
         try:
             return handler(connection, request)

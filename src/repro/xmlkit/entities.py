@@ -88,19 +88,47 @@ class EntityTable:
 
     # -- expansion ----------------------------------------------------------
 
-    def expand_general(self, name: str, _stack: tuple[str, ...] = ()) -> str:
+    def expand_general(self, name: str,
+                       memo: dict[str, str] | None = None) -> str:
         """Fully expand general entity *name* to its replacement text.
 
         Nested entity references inside the replacement are expanded
         recursively.  Raises :class:`EntityError` for undefined entities,
-        recursive definitions, or runaway expansion.
+        recursive definitions, or runaway expansion.  *memo* (name ->
+        finished expansion) lets a caller share expansions across
+        calls, e.g. every reference of one document.
         """
+        return _Expansion(self, memo).general(name, ())
+
+    def expand_text(self, text: str,
+                    memo: dict[str, str] | None = None) -> str:
+        """Expand every general entity and character reference in *text*."""
+        return _Expansion(self, memo).text(text, ())
+
+
+class _Expansion:
+    """One top-level expansion: each entity is expanded at most once
+    (the memo), and every nested reference draws on one shared size
+    budget, so the work — not just the output — stays bounded."""
+
+    __slots__ = ("table", "memo", "budget")
+
+    def __init__(self, table: EntityTable,
+                 memo: dict[str, str] | None):
+        self.table = table
+        self.memo = {} if memo is None else memo
+        self.budget = MAX_EXPANSION_SIZE
+
+    def general(self, name: str, stack: tuple[str, ...]) -> str:
         if name in PREDEFINED_ENTITIES:
             return PREDEFINED_ENTITIES[name]
-        if name in _stack:
-            chain = " -> ".join(_stack + (name,))
+        expanded = self.memo.get(name)
+        if expanded is not None:
+            return expanded
+        if name in stack:
+            chain = " -> ".join(stack + (name,))
             raise EntityError(f"recursive entity reference: {chain}")
-        definition = self.general.get(name)
+        definition = self.table.general.get(name)
         if definition is None:
             raise EntityError(f"undefined entity '&{name};'")
         if definition.is_unparsed:
@@ -109,36 +137,33 @@ class EntityTable:
         if not definition.is_internal:
             raise EntityError(
                 f"external entity '&{name};' cannot be resolved offline")
-        return self.expand_text(definition.replacement,
-                                _stack=_stack + (name,))
+        expanded = self.text(definition.replacement, stack + (name,))
+        self.memo[name] = expanded
+        return expanded
 
-    def expand_text(self, text: str, _stack: tuple[str, ...] = ()) -> str:
-        """Expand every general entity and character reference in *text*."""
+    def text(self, source: str, stack: tuple[str, ...]) -> str:
         out: list[str] = []
-        i = 0
-        length = len(text)
-        budget = MAX_EXPANSION_SIZE
-        while i < length:
-            ch = text[i]
-            if ch != "&":
-                out.append(ch)
-                i += 1
-                continue
-            end = text.find(";", i + 1)
+        start = 0
+        while True:
+            amp = source.find("&", start)
+            if amp == -1:
+                out.append(source[start:])
+                return "".join(out)
+            out.append(source[start:amp])
+            end = source.find(";", amp + 1)
             if end == -1:
                 raise EntityError("unterminated entity reference")
-            body = text[i + 1:end]
+            body = source[amp + 1:end]
             expanded = (
                 expand_char_reference(body)
                 if body.startswith("#")
-                else self.expand_general(body, _stack=_stack)
+                else self.general(body, stack)
             )
-            budget -= len(expanded)
-            if budget < 0:
+            self.budget -= len(expanded)
+            if self.budget < 0:
                 raise EntityError("entity expansion exceeds size limit")
             out.append(expanded)
-            i = end + 1
-        return "".join(out)
+            start = end + 1
 
 
 def expand_char_reference(body: str) -> str:

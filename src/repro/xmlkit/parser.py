@@ -95,6 +95,10 @@ class XMLParser:
         #: optional :class:`repro.obs.Tracer`; when set, each parse
         #: opens an ``xml.parse`` span under the current span
         self.tracer = tracer
+        self._entities = EntityTable()
+        #: entity name -> expansion, shared by every reference of the
+        #: document being parsed (each entity is expanded once)
+        self._entity_memo: dict[str, str] = {}
 
     # -- public API -----------------------------------------------------------
 
@@ -118,6 +122,7 @@ class XMLParser:
         scanner = Scanner(text)
         document = Document()
         self._entities = EntityTable()
+        self._entity_memo = {}
 
         self._parse_prolog(scanner, document)
         root = self._parse_element(scanner, depth=0)
@@ -134,7 +139,10 @@ class XMLParser:
         Used for expanding entity replacement text that contains markup
         and by tests that build partial trees.
         """
-        self._entities = entities or EntityTable()
+        entities = entities or EntityTable()
+        if entities is not self._entities:
+            self._entities = entities
+            self._entity_memo = {}
         scanner = Scanner(text)
         holder = Element("#fragment")
         self._parse_content_into(scanner, holder, end_tag=None, depth=0)
@@ -321,7 +329,8 @@ class XMLParser:
                 if body.startswith("#"):
                     out.append(expand_char_reference(body))
                 else:
-                    out.append(self._entities.expand_general(body))
+                    out.append(self._entities.expand_general(
+                        body, self._entity_memo))
             except EntityError as exc:
                 scanner.error(str(exc))
             i = end + 1
@@ -411,7 +420,8 @@ class XMLParser:
             text_buffer.append(PREDEFINED_ENTITIES[name])
             return
         try:
-            expansion = self._entities.expand_general(name)
+            expansion = self._entities.expand_general(
+                name, self._entity_memo)
         except EntityError as exc:
             if self.expand_entities:
                 scanner.error(str(exc))

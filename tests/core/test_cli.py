@@ -138,6 +138,19 @@ class TestTypeHintFlag:
             main(["schema", appendix_file, "--hint", "nonsense"])
 
 
+class TestStatsCommand:
+    def test_text_prints_engine_counts_after_the_histograms(
+            self, document_file, capsys):
+        assert main(["stats", document_file, "--text"]) == 0
+        histograms, counts = capsys.readouterr().out.split("\n\n")
+        assert "phase.store_seconds (s): count=1" in histograms
+        lines = dict(line.split(": ") for line in counts.split("\n")
+                     if line)
+        assert lines["commits"] == "2"  # the schema, then the document
+        assert lines["errors"] == "0"
+        assert int(lines["statements"]) > 0
+
+
 class TestDurableCommands:
     def test_ingest_db_path_then_recover_verify(self, document_file,
                                                 tmp_path, capsys):

@@ -10,6 +10,7 @@ from repro.core import (
     classify,
     error_code,
 )
+from repro.obs import Observability
 from repro.ordb import TransientEngineFault
 from repro.ordb.errors import DanglingReference, UniqueViolation
 from repro.xmlkit import parse
@@ -171,6 +172,32 @@ class TestStoreMany:
         assert len(report.stored) + len(report.quarantined) == len(docs)
         assert sum(outcome.attempts for outcome in report.outcomes) \
             > len(docs)
+
+    def test_observing_an_ingest_leaves_identical_stats(self):
+        """Every count lives in one always-on dict: the same faulty
+        ingest, observed or not, leaves the same ``db.stats``."""
+        def ingest(obs):
+            tool = XML2Oracle(validate_documents=False, obs=obs)
+            tool.register_schema(SCHOOL_DTD,
+                                 sample_document=school_doc(0))
+            tool.db.faults.arm(site="storage", rate=0.10, seed=1234,
+                               times=None)
+            report = tool.store_many(
+                [school_doc(n, dangling=n == 5) for n in range(1, 9)],
+                continue_on_error=True,
+                retry=RetryPolicy(max_attempts=4, base_delay=0.0,
+                                  sleep=lambda _s: None))
+            return tool, report
+
+        quiet, quiet_report = ingest(Observability())
+        observed, observed_report = ingest(Observability(enabled=True))
+        assert observed.db.stats == quiet.db.stats
+        assert observed_report.as_dict() == quiet_report.as_dict()
+        assert quiet.db.stats["errors"] > 0
+        assert quiet.db.stats["savepoint_rollbacks"] > 0
+        assert len(observed.db.faults.fired) == len(quiet.db.faults.fired)
+        assert observed.obs.metrics.histogram(
+            "phase.store_seconds").count > 0
 
     def test_permanent_fault_not_retried(self, tool):
         sleeps = []

@@ -7,45 +7,9 @@ import pytest
 
 from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
-
-
-class TestCounter:
-    def test_increments(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            Counter("c").inc(-1)
-
-    def test_reset(self):
-        counter = Counter("c")
-        counter.inc(7)
-        counter.reset()
-        assert counter.value == 0
-
-    def test_as_dict(self):
-        counter = Counter("c", unit="rows")
-        counter.inc(2)
-        assert counter.as_dict() == {
-            "kind": "counter", "unit": "rows", "value": 2}
-
-
-class TestGauge:
-    def test_moves_both_ways(self):
-        gauge = Gauge("g")
-        gauge.inc(3)
-        gauge.dec(1)
-        assert gauge.value == 2
-        gauge.set(-4.5)
-        assert gauge.value == -4.5
 
 
 class TestHistogram:
@@ -130,15 +94,7 @@ class TestHistogram:
 class TestRegistry:
     def test_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
-        assert registry.counter("a") is registry.counter("a")
-
-    def test_kind_mismatch_raises(self):
-        registry = MetricsRegistry()
-        registry.counter("a")
-        with pytest.raises(TypeError):
-            registry.gauge("a")
-        with pytest.raises(TypeError):
-            registry.histogram("a")
+        assert registry.histogram("a") is registry.histogram("a")
 
     def test_default_buckets(self):
         registry = MetricsRegistry()
@@ -147,11 +103,11 @@ class TestRegistry:
 
     def test_reset_keeps_instruments_registered(self):
         registry = MetricsRegistry()
-        registry.counter("a").inc(3)
+        registry.histogram("a").observe(3)
         registry.histogram("h").observe(0.1)
         registry.reset()
         assert registry.names() == ["a", "h"]
-        assert registry.counter("a").value == 0
+        assert registry.histogram("a").count == 0
         assert registry.histogram("h").count == 0
 
     def test_get_unknown_is_none(self):
@@ -159,18 +115,21 @@ class TestRegistry:
 
     def test_to_json_round_trips(self):
         registry = MetricsRegistry()
-        registry.counter("db.statements", unit="statements").inc(2)
+        registry.histogram("db.group_commit_batch_size",
+                           unit="records", buckets=(1, 8)).observe(2)
         registry.histogram("db.statement_seconds",
                            unit="s").observe(0.004)
         payload = json.loads(registry.to_json())
-        assert payload["db.statements"]["value"] == 2
+        assert payload["db.group_commit_batch_size"]["buckets"] == {
+            "1": 0, "8": 1, "+Inf": 1}
         assert payload["db.statement_seconds"]["count"] == 1
 
     def test_render_text_one_line_per_instrument(self):
         registry = MetricsRegistry()
-        registry.counter("a", unit="rows").inc()
+        registry.histogram("a", unit="rows").observe(1)
         registry.histogram("h").observe(0.002)
         text = registry.render_text()
-        assert "a (rows): 1" in text
+        assert text.count("\n") == 1
+        assert "a (rows): count=1" in text
         assert "h: count=1" in text
         assert "p95<=" in text

@@ -1,5 +1,7 @@
 """The deterministic fault-injection harness."""
 
+import threading
+
 import pytest
 
 from repro.ordb import (
@@ -9,6 +11,7 @@ from repro.ordb import (
     is_transient,
 )
 from repro.ordb.errors import NotSupported
+from repro.ordb.sql import ast
 
 
 @pytest.fixture
@@ -135,6 +138,74 @@ class TestLifecycle:
         assert event.site == "storage"
         assert event.context["op"] == "insert"
         assert event.context["table"] == "T"
+
+
+class TestPredicatesRunUnlocked:
+    def test_a_waiting_predicate_stalls_only_its_own_session(self, db):
+        """A predicate that blocks holds up the statement it guards,
+        never an unrelated session's statement at the same site."""
+        db.execute("CREATE TABLE A(n NUMBER)")
+        db.execute("CREATE TABLE B(n NUMBER)")
+        entered, release = threading.Event(), threading.Event()
+
+        def hold_inserts(event) -> bool:
+            if isinstance(event.context["statement"], ast.Insert):
+                entered.set()
+                release.wait(10.0)
+            return False
+
+        db.faults.arm(site="statement", predicate=hold_inserts,
+                      times=None)
+        writer_session = db.session(name="writer")
+        reader_session = db.session(name="reader")
+        counted = []
+        writer = threading.Thread(target=writer_session.execute,
+                                  args=("INSERT INTO A VALUES(1)",))
+        reader = threading.Thread(target=lambda: counted.append(
+            reader_session.execute("SELECT COUNT(*) FROM B").scalar()))
+        writer.start()
+        try:
+            assert entered.wait(10.0)
+            reader.start()
+            reader.join(5.0)
+            finished_while_held = not reader.is_alive()
+        finally:
+            release.set()
+            writer.join(10.0)
+            reader.join(10.0)
+        assert finished_while_held
+        assert counted == [0]
+        assert db.execute("SELECT COUNT(*) FROM A").scalar() == 1
+        writer_session.close()
+        reader_session.close()
+
+    def test_a_times_1_fault_fires_once_under_concurrent_hits(self):
+        """Every session passes the predicate at the same moment; the
+        trigger accounting still lets exactly one of them fire."""
+        sessions = 8
+        faults = FaultInjector()
+        together = threading.Barrier(sessions)
+        fault = faults.arm(site="statement",
+                           predicate=lambda event: together.wait(10.0)
+                           is not None, times=1)
+        raised = []
+
+        def hit() -> None:
+            try:
+                faults.hit("statement")
+            except TransientEngineFault:
+                raised.append(1)
+
+        threads = [threading.Thread(target=hit) for _ in range(sessions)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20.0)
+        assert not together.broken
+        assert len(raised) == 1
+        assert fault.fired == 1
+        assert fault.matches == 1
+        assert len(faults.fired) == 1
 
 
 class TestEngineIntegration:

@@ -12,6 +12,7 @@ properties under *any* byte-level damage:
 """
 
 import os
+import sys
 import threading
 import time
 
@@ -27,7 +28,7 @@ from repro.ordb import (
     encode_record,
     encode_transaction,
 )
-from repro.ordb.wal import FRAME_OVERHEAD, MAGIC, GroupCommitter
+from repro.ordb.wal import FRAME_OVERHEAD, MAGIC
 
 _payloads = st.lists(st.binary(max_size=200), max_size=8)
 
@@ -244,14 +245,14 @@ def test_group_commit_batches_committers_queued_behind_the_leader(
     """At ``fsync=always``, committers that arrive while the leader is
     inside its write share the next batch and its one fsync.  A
     never-firing ``wal`` predicate holds the leader's first frame
-    until every other committer has queued, so the batching is
-    deterministic: one batch of 1, then one batch of the rest."""
+    until every other session has run its INSERT and queued its
+    COMMIT, so the batching is deterministic: one batch of 1, then
+    one batch of the rest."""
     committers = 8
-    faults = FaultInjector()
-    log = WriteAheadLog(tmp_path / "wal.log", policy="always",
-                        faults=faults)
-    log.open()
-    group = GroupCommitter(log)
+    db = Database(path=tmp_path, fsync="always", group_commit=True)
+    for n in range(committers):  # a table each: no lock waits
+        db.execute(f"CREATE TABLE T{n}(n NUMBER)")
+    db.reset_stats()
     entered, release = threading.Event(), threading.Event()
 
     def hold_first_frame(event) -> bool:
@@ -260,27 +261,71 @@ def test_group_commit_batches_committers_queued_behind_the_leader(
             release.wait(10.0)
         return False
 
-    faults.arm(site="wal", predicate=hold_first_frame, times=None)
-    payloads = [b"txn-%d" % n for n in range(committers)]
-    threads = [threading.Thread(target=group.commit,
-                                args=(lambda p=payload: p,))
-               for payload in payloads]
+    def insert_and_commit(n: int) -> None:
+        with db.session(name=f"committer-{n}") as session:
+            session.begin()
+            session.execute(f"INSERT INTO T{n} VALUES({n})")
+            session.commit()
+
+    db.faults.arm(site="wal", predicate=hold_first_frame, times=None)
+    threads = [threading.Thread(target=insert_and_commit, args=(n,))
+               for n in range(committers)]
     threads[0].start()
     assert entered.wait(10.0)  # the leader is inside its write
     for thread in threads[1:]:
         thread.start()
     deadline = time.monotonic() + 10.0
-    while len(group._queue) < committers - 1:
-        assert time.monotonic() < deadline, "committers never queued"
-        time.sleep(0.001)
-    release.set()
-    for thread in threads:
-        thread.join(10.0)
+    try:
+        while len(db.group_committer._queue) < committers - 1:
+            assert time.monotonic() < deadline, "committers never queued"
+            time.sleep(0.001)
+    finally:
+        release.set()
+        for thread in threads:
+            thread.join(10.0)
     assert not any(thread.is_alive() for thread in threads)
-    log.close()
-    assert group.records == committers
-    assert group.batches < group.records
-    assert group.batch_sizes == {1: 1, committers - 1: 1}
-    reopened = WriteAheadLog(tmp_path / "wal.log")
-    assert sorted(reopened.open()) == sorted(payloads)
+    assert db.stats["commits"] == db.stats["wal_appends"] == committers
+    assert db.stats["group_commit_records"] == committers
+    assert db.stats["group_commit_batches"] == 2
+    assert db.group_committer.batch_sizes[committers - 1] == 1
+    db.close()
+    reopened = Database(path=tmp_path)
+    assert [reopened.execute(f"SELECT t.n FROM T{n} t").scalar()
+            for n in range(committers)] == list(range(committers))
     reopened.close()
+
+
+def test_concurrent_commits_are_counted_exactly(tmp_path):
+    """Every ``stats`` count two sessions can bump at once is bumped
+    under a lock: with the interpreter switching threads as often as
+    it can, 8 sessions x 100 commits count as exactly 800."""
+    workers, commits = 8, 100
+    db = Database(path=tmp_path, fsync="off", group_commit=True)
+    for n in range(workers):
+        db.execute(f"CREATE TABLE T{n}(n NUMBER)")
+    db.reset_stats()
+
+    def work(n: int) -> None:
+        with db.session(name=f"worker-{n}") as session:
+            for i in range(commits):
+                session.begin()
+                session.execute(f"INSERT INTO T{n} VALUES({i})")
+                session.commit()
+
+    threads = [threading.Thread(target=work, args=(n,))
+               for n in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    total = workers * commits
+    assert db.stats["commits"] == db.stats["wal_appends"] == total
+    assert db.stats["group_commit_records"] == total
+    assert db.stats["statements"] == db.stats["rows_touched"] == total
+    db.close()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.xmlkit import entities, parse
 from repro.xmlkit.entities import (
     EntityDefinition,
     EntityTable,
@@ -78,6 +79,57 @@ class TestExpansion:
     def test_unterminated_reference(self):
         with pytest.raises(EntityError, match="unterminated"):
             EntityTable().expand_text("a&ent")
+
+
+class TestExpansionWork:
+    """Expansion is bounded by its work, not only by its output."""
+
+    @staticmethod
+    def spy(monkeypatch) -> list[str]:
+        """Record every entity whose replacement text gets expanded."""
+        expanded: list[str] = []
+        original = entities._Expansion.text
+
+        def text(self, replacement, stack):
+            if stack:
+                expanded.append(stack[-1])
+            return original(self, replacement, stack)
+
+        monkeypatch.setattr(entities._Expansion, "text", text)
+        return expanded
+
+    def test_each_entity_expands_once_per_document(self, monkeypatch):
+        subset = ['<!ENTITY e0 "ha">']
+        for level in range(1, 4):
+            subset.append(f'<!ENTITY e{level}'
+                          f' "{"&e%d;" % (level - 1) * 10}">')
+        source = ("<!DOCTYPE a [" + "".join(subset) + "]>"
+                  '<a x="&e3;">&e3;&e2;<b>&e3;&e1;</b></a>')
+        expanded = self.spy(monkeypatch)
+        root = parse(source).root_element
+        assert sorted(expanded) == ["e0", "e1", "e2", "e3"]
+        assert root.get("x") == "ha" * 1000
+        assert root.text_content() == "ha" * (1000 + 100 + 1000 + 10)
+
+    def test_expand_general_memoises_within_one_call(self, monkeypatch):
+        table = EntityTable()
+        table.define(EntityDefinition("leaf", "x"))
+        table.define(EntityDefinition("pair", "&leaf;&leaf;"))
+        table.define(EntityDefinition("top", "&pair;&pair;&leaf;"))
+        expanded = self.spy(monkeypatch)
+        assert table.expand_general("top") == "xxxxx"
+        assert sorted(expanded) == ["leaf", "pair", "top"]
+
+    def test_nested_references_share_one_budget(self, monkeypatch):
+        """Each level alone stays under the limit; together they do
+        not."""
+        monkeypatch.setattr(entities, "MAX_EXPANSION_SIZE", 250)
+        table = EntityTable()
+        table.define(EntityDefinition("e0", "x" * 10))
+        table.define(EntityDefinition("e1", "&e0;" * 10))   # 100 chars
+        table.define(EntityDefinition("e2", "&e1;&e1;"))   # 200 chars
+        with pytest.raises(EntityError, match="size limit"):
+            table.expand_general("e2")
 
 
 class TestCharReferences:
