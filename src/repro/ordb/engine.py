@@ -32,7 +32,6 @@ docs/transactions.md):
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import os
 import threading
@@ -675,8 +674,9 @@ class Database:
         self.stats["group_commit_batches"] += 1
         self.stats["group_commit_records"] += size
         if self.obs.enabled:
-            self.obs.metrics.histogram("db.group_commit_batch_size",
-                                       unit="records").observe(size)
+            self.obs.metrics.histogram(
+                "db.group_commit_batch_size", unit="records",
+                buckets=_BATCH_SIZE_BUCKETS).observe(size)
 
     def checkpoint(self) -> dict:
         """Snapshot the database durably and truncate the WAL.
@@ -1781,7 +1781,7 @@ class Database:
         if where is None:
             return None
         pushed: list[ast.Expr] = []
-        for conjunct in _split_conjuncts(where):
+        for conjunct in ast.flatten(where, "AND"):
             heads: set[str] = set()
             if (_analyze_references(conjunct, heads) and heads
                     and heads <= {alias_key}):
@@ -2025,7 +2025,7 @@ class Database:
                 item, "name", None)
             if name:
                 alias_level[identifiers.normalize(name)] = index
-        for conjunct in _split_conjuncts(statement.where):
+        for conjunct in ast.flatten(statement.where, "AND"):
             heads: set[str] = set()
             pushable = _analyze_references(conjunct, heads)
             if pushable and heads and all(
@@ -2297,6 +2297,9 @@ Database._HANDLERS = {
     ast.ExplainStmt: Database._explain_statement,
 }
 
+#: ``db.group_commit_batch_size`` buckets: record counts, not seconds
+_BATCH_SIZE_BUCKETS = tuple(2 ** power for power in range(11))
+
 #: DDL that removes or reshapes objects a pinned snapshot may still
 #: be reading.  The catalog keeps no version chains, so these abort
 #: with SerializationConflict while other sessions hold pinned
@@ -2312,77 +2315,31 @@ _DESTRUCTIVE_DDL = (ast.DropTable, ast.DropType, ast.DropView,
 def _collect_table_refs(node: object, names: set[str]) -> None:
     """Collect every normalized ``TableRef`` name reachable from
     *node* — FROM items, subqueries (IN/EXISTS/scalar), CAST MULTISET
-    and INSERT...SELECT sources alike.  The walk is generic over the
-    frozen-dataclass AST so new node kinds are covered by default."""
-    if isinstance(node, ast.TableRef):
-        names.add(identifiers.normalize(node.name))
-        return
-    if isinstance(node, (tuple, list)):
-        for item in node:
-            _collect_table_refs(item, names)
-        return
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        for field in dataclasses.fields(node):
-            value = getattr(node, field.name)
-            if value is None or isinstance(value,
-                                           (str, int, float, bool)):
-                continue
-            _collect_table_refs(value, names)
+    and INSERT...SELECT sources alike."""
+    names.update(identifiers.normalize(ref.name) for ref in ast.walk(node)
+                 if isinstance(ref, ast.TableRef))
 
 
-def _split_conjuncts(expression: ast.Expr) -> list[ast.Expr]:
-    """Flatten a WHERE tree into its top-level AND conjuncts."""
-    if isinstance(expression, ast.BinaryOp) \
-            and expression.operator == "AND":
-        return (_split_conjuncts(expression.left)
-                + _split_conjuncts(expression.right))
-    return [expression]
+#: what a pushable conjunct may be built from besides qualified
+#: column paths (subqueries, EXISTS, CAST, stars, unqualified names
+#: and aggregate calls are not pushable)
+_PUSHDOWN_TRANSPARENT = (
+    ast.Literal, ast.DateLiteral, ast.BinaryOp, ast.UnaryOp, ast.IsNull,
+    ast.Like, ast.Between, ast.InList, ast.AttributeAccess,
+    ast.FunctionCall, ast.CaseWhen)
 
 
 def _analyze_references(expression: ast.Expr,
                         heads: set[str]) -> bool:
     """Collect qualified-path heads; False when the conjunct is not
     safe to push down (subqueries, unqualified columns, stars)."""
-    if isinstance(expression, ast.ColumnPath):
-        if len(expression.parts) < 2:
-            return False  # unqualified name: resolve with full row
-        heads.add(identifiers.normalize(expression.parts[0]))
-        return True
-    if isinstance(expression, (ast.Literal, ast.DateLiteral)):
-        return True
-    if isinstance(expression, ast.BinaryOp):
-        return (_analyze_references(expression.left, heads)
-                and _analyze_references(expression.right, heads))
-    if isinstance(expression, ast.UnaryOp):
-        return _analyze_references(expression.operand, heads)
-    if isinstance(expression, ast.IsNull):
-        return _analyze_references(expression.operand, heads)
-    if isinstance(expression, ast.Like):
-        return (_analyze_references(expression.operand, heads)
-                and _analyze_references(expression.pattern, heads)
-                and (expression.escape is None
-                     or _analyze_references(expression.escape, heads)))
-    if isinstance(expression, ast.Between):
-        return (_analyze_references(expression.operand, heads)
-                and _analyze_references(expression.low, heads)
-                and _analyze_references(expression.high, heads))
-    if isinstance(expression, ast.InList):
-        return (_analyze_references(expression.operand, heads)
-                and all(_analyze_references(item, heads)
-                        for item in expression.items))
-    if isinstance(expression, ast.AttributeAccess):
-        return _analyze_references(expression.base, heads)
-    if isinstance(expression, ast.FunctionCall):
-        if expression.name.upper() in AGGREGATE_FUNCTIONS:
+    for node in ast.walk(expression):
+        if isinstance(node, ast.ColumnPath):
+            if len(node.parts) < 2:
+                return False  # unqualified name: resolve with full row
+            heads.add(identifiers.normalize(node.parts[0]))
+        elif not isinstance(node, _PUSHDOWN_TRANSPARENT) or (
+                isinstance(node, ast.FunctionCall)
+                and node.name.upper() in AGGREGATE_FUNCTIONS):
             return False
-        return all(_analyze_references(argument, heads)
-                   for argument in expression.arguments)
-    if isinstance(expression, ast.CaseWhen):
-        for condition, value in expression.branches:
-            if not (_analyze_references(condition, heads)
-                    and _analyze_references(value, heads)):
-                return False
-        return (expression.default is None
-                or _analyze_references(expression.default, heads))
-    # subqueries, EXISTS, CAST MULTISET, stars: not pushable
-    return False
+    return True

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from . import identifiers
 from .datatypes import NestedTableType, ObjectType, RefType, VarrayType
 from .errors import NotSupported
+from .expressions import contains_aggregate, sub_expressions
 from .sql import ast
 from .values import CollectionValue
 
@@ -402,23 +403,15 @@ class PlanBuilder:
                 nodes.append(_Node("REF DEREF", target=target,
                                    detail=path))
 
-        def probe(expression: ast.Expr) -> None:
-            if isinstance(expression, ast.ColumnPath):
-                self._trace_ref_path(expression, alias_map, note)
-                return
-            if (isinstance(expression, ast.FunctionCall)
-                    and expression.name.upper() == "DEREF"):
-                argument = (render_expr(expression.arguments[0])
-                            if expression.arguments else "?")
-                note(f"DEREF({argument})", "")
-            for child in _child_expressions(expression):
-                probe(child)
-
-        for item in statement.items:
-            if not isinstance(item.expression, ast.Star):
-                probe(item.expression)
-        if statement.where is not None:
-            probe(statement.where)
+        for expression in _items_and_where(statement):
+            for node in ast.walk(expression, ast.SelectStmt):
+                if isinstance(node, ast.ColumnPath):
+                    self._trace_ref_path(node, alias_map, note)
+                elif (isinstance(node, ast.FunctionCall)
+                        and node.name.upper() == "DEREF"):
+                    argument = (render_expr(node.arguments[0])
+                                if node.arguments else "?")
+                    note(f"DEREF({argument})", "")
         return nodes
 
     def _trace_ref_path(self, path: ast.ColumnPath, alias_map: dict,
@@ -477,7 +470,7 @@ class PlanBuilder:
             node = _Node("REF LOOKUP", rows=1, exact=True)
             node.children.extend(select.children)
             return [node]
-        for child in _child_expressions(expression):
+        for child in sub_expressions(expression):
             nodes.extend(self._value_nodes(child))
         return nodes
 
@@ -501,8 +494,6 @@ class PlanBuilder:
         costed plan the executor's ``_dml_access`` runs, rendered as
         a probe plus residual FILTERs, or the classic FILTER over
         SCAN when nothing is probeable."""
-        from .engine import _split_conjuncts
-
         table = self.catalog.tables.get(
             identifiers.normalize(statement.table))
         if table is None:
@@ -516,7 +507,7 @@ class PlanBuilder:
         node = self._probe_node(table, plan)
         consumed = {id(conjunct)
                     for conjunct in plan.probe.conjuncts}
-        for conjunct in _split_conjuncts(statement.where):
+        for conjunct in ast.flatten(statement.where, "AND"):
             if id(conjunct) not in consumed:
                 node = self._wrap_filter(node, conjunct)
         return node
@@ -552,43 +543,9 @@ def _product(values) -> int | None:
 
 
 def _contains_aggregate_item(item: ast.SelectItem) -> bool:
-    from .expressions import contains_aggregate
-
     if isinstance(item.expression, ast.Star):
         return False
     return contains_aggregate(item.expression)
-
-
-def _child_expressions(expression: ast.Expr):
-    """Immediate sub-expressions, for generic tree walks."""
-    if isinstance(expression, ast.BinaryOp):
-        return (expression.left, expression.right)
-    if isinstance(expression, ast.UnaryOp):
-        return (expression.operand,)
-    if isinstance(expression, ast.IsNull):
-        return (expression.operand,)
-    if isinstance(expression, ast.Like):
-        if expression.escape is not None:
-            return (expression.operand, expression.pattern,
-                    expression.escape)
-        return (expression.operand, expression.pattern)
-    if isinstance(expression, ast.Between):
-        return (expression.operand, expression.low, expression.high)
-    if isinstance(expression, ast.InList):
-        return (expression.operand, *expression.items)
-    if isinstance(expression, ast.FunctionCall):
-        return expression.arguments
-    if isinstance(expression, ast.AttributeAccess):
-        return (expression.base,)
-    if isinstance(expression, ast.Cast):
-        return (expression.operand,)
-    if isinstance(expression, ast.CaseWhen):
-        children = [sub for branch in expression.branches
-                    for sub in branch]
-        if expression.default is not None:
-            children.append(expression.default)
-        return tuple(children)
-    return ()
 
 
 def render_expr(expression: ast.Expr) -> str:
@@ -614,8 +571,9 @@ def render_expr(expression: ast.Expr) -> str:
         distinct = "DISTINCT " if expression.distinct else ""
         return f"{expression.name}({distinct}{arguments})"
     if isinstance(expression, ast.BinaryOp):
-        return (f"{render_expr(expression.left)} {expression.operator}"
-                f" {render_expr(expression.right)}")
+        return f" {expression.operator} ".join(
+            render_expr(operand) for operand
+            in ast.flatten(expression, expression.operator))
     if isinstance(expression, ast.UnaryOp):
         return f"{expression.operator} {render_expr(expression.operand)}"
     if isinstance(expression, ast.IsNull):
@@ -655,26 +613,17 @@ def render_expr(expression: ast.Expr) -> str:
     return type(expression).__name__  # pragma: no cover - safety net
 
 
+def _items_and_where(statement: ast.SelectStmt) -> list[ast.Expr]:
+    expressions = [item.expression for item in statement.items]
+    if statement.where is not None:
+        expressions.append(statement.where)
+    return expressions
+
+
 def uses_dot_navigation(statement: ast.SelectStmt) -> bool:
     """True when the query navigates object attributes (Section 4.1)."""
-
-    def probe(expression: ast.Expr) -> bool:
-        if isinstance(expression, ast.ColumnPath):
-            return len(expression.parts) > 2
-        if isinstance(expression, ast.AttributeAccess):
-            return True
-        if isinstance(expression, ast.BinaryOp):
-            return probe(expression.left) or probe(expression.right)
-        if isinstance(expression, ast.UnaryOp):
-            return probe(expression.operand)
-        if isinstance(expression, (ast.IsNull, ast.Like, ast.Between)):
-            return probe(expression.operand)
-        if isinstance(expression, ast.FunctionCall):
-            return any(probe(a) for a in expression.arguments)
-        return False
-
-    for item in statement.items:
-        if not isinstance(item.expression, ast.Star) and probe(
-                item.expression):
-            return True
-    return statement.where is not None and probe(statement.where)
+    return any(
+        isinstance(node, ast.AttributeAccess)
+        or (isinstance(node, ast.ColumnPath) and len(node.parts) > 2)
+        for expression in _items_and_where(statement)
+        for node in ast.walk(expression, ast.SelectStmt))

@@ -14,7 +14,6 @@ values on the way (Section 2.3).
 
 from __future__ import annotations
 
-import dataclasses
 import datetime
 import re
 import threading
@@ -97,21 +96,12 @@ class Env:
 EMPTY_ENV = Env([])
 
 
-#: per expression node type, its fields that hold expressions (going
-#: by their annotations), last first; leaves map to ()
-_EXPRESSION_FIELDS = {
-    node_type: tuple(field.name
-                     for field in reversed(dataclasses.fields(node_type))
-                     if "Expr" in field.type)
-    for node_type in ast.Expr.__subclasses__()}
-
-
 def sub_expressions(node: ast.Expr) -> list[ast.Expr]:
     """The expressions directly under *node*, left to right
     (subqueries are opaque: a SELECT is not an expression)."""
     found: list[ast.Expr] = []
     pending = [getattr(node, name)
-               for name in _EXPRESSION_FIELDS[type(node)]]
+               for name in ast.CHILD_FIELDS[type(node)]]
     while pending:
         value = pending.pop()
         if isinstance(value, ast.Expr):
@@ -128,19 +118,22 @@ def is_aggregate(expression: ast.Expr) -> bool:
 
 def contains_aggregate(expression: ast.Expr) -> bool:
     """True if *expression* contains an aggregate function call."""
-    return is_aggregate(expression) or any(
-        contains_aggregate(child)
-        for child in sub_expressions(expression))
+    return any(is_aggregate(node)
+               for node in ast.walk(expression, ast.SelectStmt))
 
 
 def collect_aggregates(expression: ast.Expr,
                        out: list[ast.FunctionCall]) -> None:
-    """Collect aggregate call nodes in *expression* into *out*."""
-    if not is_aggregate(expression):
-        for child in sub_expressions(expression):
-            collect_aggregates(child, out)
-    elif expression not in out:
-        out.append(expression)
+    """Collect aggregate call nodes in *expression* into *out* (the
+    arguments of an aggregate are not searched)."""
+    skip = 0  # the rest of the aggregate just collected, in walk order
+    for node in ast.walk(expression, ast.SelectStmt):
+        if skip:
+            skip -= 1
+        elif is_aggregate(node):
+            skip = sum(1 for _ in ast.walk(node, ast.SelectStmt)) - 1
+            if node not in out:
+                out.append(node)
 
 
 class Evaluator:
@@ -243,26 +236,15 @@ class Evaluator:
 
     def _eval_BinaryOp(self, expression: ast.BinaryOp, env: Env) -> object:
         operator = expression.operator
-        if operator == "AND":
-            left = self.eval_predicate(expression.left, env)
-            if left is False:
-                return False
-            right = self.eval_predicate(expression.right, env)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return True
-        if operator == "OR":
-            left = self.eval_predicate(expression.left, env)
-            if left is True:
-                return True
-            right = self.eval_predicate(expression.right, env)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return False
+        if operator == "AND" or operator == "OR":
+            decisive = operator == "OR"  # the value that settles it
+            unknown = False
+            for operand in self._operands(expression):
+                value = self.eval_predicate(operand, env)
+                if value is decisive:
+                    return decisive
+                unknown = unknown or value is None
+            return None if unknown else not decisive
         left = self.eval(expression.left, env)
         right = self.eval(expression.right, env)
         if operator == "||":
@@ -274,6 +256,10 @@ class Evaluator:
         if operator in ("+", "-", "*", "/"):
             return _arithmetic(operator, left, right)
         raise NotSupported(f"operator {operator!r}")  # pragma: no cover
+
+    def _operands(self, expression: ast.BinaryOp) -> list[ast.Expr]:
+        """What an AND/OR evaluates, left to right: the whole chain."""
+        return ast.flatten(expression, expression.operator)
 
     def _eval_UnaryOp(self, expression: ast.UnaryOp, env: Env) -> object:
         if expression.operator == "NOT":

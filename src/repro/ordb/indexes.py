@@ -694,49 +694,23 @@ def _probe_column(expression: ast.Expr, alias_key: str,
     return ".".join([column.key, *tail])
 
 
+#: what an expression may be built from, besides column paths, and
+#: still be judged by its paths alone (unlike pushdown, CAST is fine)
+_PROBE_TRANSPARENT = (
+    ast.Literal, ast.DateLiteral, ast.BinaryOp, ast.UnaryOp, ast.IsNull,
+    ast.Like, ast.Between, ast.InList, ast.FunctionCall,
+    ast.AttributeAccess, ast.Cast, ast.CaseWhen)
+
+
 def _mentions_alias(expression: ast.Expr, alias_key: str) -> bool:
     """True when evaluating *expression* needs this table's row (or
-    when we cannot tell: unknown node kinds count as mentions, which
-    merely forfeits the probe, never correctness)."""
-    if isinstance(expression, ast.ColumnPath):
-        if len(expression.parts) < 2:
-            return True  # unqualified: could resolve to this table
-        return identifiers.normalize(expression.parts[0]) == alias_key
-    if isinstance(expression, (ast.Literal, ast.DateLiteral)):
-        return False
-    if isinstance(expression, ast.BinaryOp):
-        return (_mentions_alias(expression.left, alias_key)
-                or _mentions_alias(expression.right, alias_key))
-    if isinstance(expression, ast.UnaryOp):
-        return _mentions_alias(expression.operand, alias_key)
-    if isinstance(expression, ast.IsNull):
-        return _mentions_alias(expression.operand, alias_key)
-    if isinstance(expression, ast.Like):
-        return (_mentions_alias(expression.operand, alias_key)
-                or _mentions_alias(expression.pattern, alias_key)
-                or (expression.escape is not None
-                    and _mentions_alias(expression.escape, alias_key)))
-    if isinstance(expression, ast.Between):
-        return (_mentions_alias(expression.operand, alias_key)
-                or _mentions_alias(expression.low, alias_key)
-                or _mentions_alias(expression.high, alias_key))
-    if isinstance(expression, ast.InList):
-        return (_mentions_alias(expression.operand, alias_key)
-                or any(_mentions_alias(item, alias_key)
-                       for item in expression.items))
-    if isinstance(expression, ast.FunctionCall):
-        return any(_mentions_alias(argument, alias_key)
-                   for argument in expression.arguments)
-    if isinstance(expression, ast.AttributeAccess):
-        return _mentions_alias(expression.base, alias_key)
-    if isinstance(expression, ast.Cast):
-        return _mentions_alias(expression.operand, alias_key)
-    if isinstance(expression, ast.CaseWhen):
-        for condition, value in expression.branches:
-            if (_mentions_alias(condition, alias_key)
-                    or _mentions_alias(value, alias_key)):
+    when we cannot tell: subqueries and unknown node kinds count as
+    mentions, which merely forfeits the probe, never correctness)."""
+    for node in ast.walk(expression):
+        if isinstance(node, ast.ColumnPath):
+            if (len(node.parts) < 2  # unqualified: could be this table's
+                    or identifiers.normalize(node.parts[0]) == alias_key):
                 return True
-        return (expression.default is not None
-                and _mentions_alias(expression.default, alias_key))
-    # subqueries and anything unrecognized: assume dependence
-    return True
+        elif not isinstance(node, _PROBE_TRANSPARENT):
+            return True
+    return False

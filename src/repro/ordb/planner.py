@@ -27,7 +27,6 @@ default selectivities (eq 1/10, range 1/4, LIKE 1/4, other 1/3).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from decimal import Decimal
 
@@ -285,21 +284,13 @@ def _dereferences_ref(node: object, alias_key: str,
     """True when evaluating *node* navigates through one of this
     table's REF columns (``alias.refcol.attr...``) — a hidden join
     the planner defers behind cheaper predicates."""
-    if isinstance(node, ast.ColumnPath):
-        if (len(node.parts) <= 2
-                or identifiers.normalize(node.parts[0]) != alias_key):
-            return False
-        column = table.column(node.parts[1])
-        return (column is not None
-                and isinstance(column.datatype, RefType))
-    if isinstance(node, (list, tuple)):
-        return any(_dereferences_ref(item, alias_key, table)
-                   for item in node)
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        return any(
-            _dereferences_ref(getattr(node, field.name), alias_key,
-                              table)
-            for field in dataclasses.fields(node))
+    for path in ast.walk(node):
+        if (isinstance(path, ast.ColumnPath) and len(path.parts) > 2
+                and identifiers.normalize(path.parts[0]) == alias_key):
+            column = table.column(path.parts[1])
+            if column is not None and isinstance(column.datatype,
+                                                 RefType):
+                return True
     return False
 
 

@@ -247,6 +247,11 @@ class _Substituting(Evaluator):
             return self.values[expression]
         return super().eval(expression, env)
 
+    def _operands(self, expression: ast.BinaryOp) -> list[ast.Expr]:
+        # a row part may be an inner node of an AND/OR chain, so each
+        # level goes through eval() and its values lookup
+        return [expression.left, expression.right]
+
 
 def _row_parts(expression: ast.Expr, out: list[ast.Expr]) -> None:
     """Collect into *out* the maximal aggregate-free sub-expressions

@@ -50,7 +50,6 @@ Decimal('3')
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import itertools
 import json
 import os
@@ -59,7 +58,7 @@ import shutil
 import threading
 import zlib
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.obs import Observability
 
@@ -95,22 +94,9 @@ def shard_of(doc_id: object, n_shards: int) -> int:
     return zlib.crc32(str(doc_id).encode("utf-8")) % n_shards
 
 
-def _walk(node: object) -> Iterator[object]:
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        if dataclasses.is_dataclass(current) and not isinstance(
-                current, type):
-            for field in dataclasses.fields(current):
-                stack.append(getattr(current, field.name))
-        elif isinstance(current, (tuple, list)):
-            stack.extend(current)
-
-
 def _has_subquery(statement: ast.SelectStmt) -> bool:
     return any(isinstance(node, _SUBQUERY_NODES)
-               for node in _walk(statement))
+               for node in ast.walk(statement))
 
 
 class RouterFaults:

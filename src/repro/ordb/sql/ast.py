@@ -1,13 +1,17 @@
 """Abstract syntax trees for the SQL dialect.
 
 Plain dataclasses, no behaviour: the parser builds them, the engine
-and the expression evaluator interpret them.
+and the expression evaluator interpret them.  The one traversal over
+them is :func:`walk`, driven by the :data:`CHILD_FIELDS` table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+import re
+from dataclasses import dataclass
 from decimal import Decimal
+from typing import Iterator
 
 
 # ---------------------------------------------------------------------------
@@ -496,3 +500,61 @@ Statement = (
     | BeginTransaction | CommitStmt | RollbackStmt | SavepointStmt
     | SetTransaction
 )
+
+
+# ---------------------------------------------------------------------------
+# traversal
+# ---------------------------------------------------------------------------
+
+#: names an annotation uses for a field that can hold AST nodes; type
+#: references are leaves (they hold no expression)
+_NODE_NAMES = {"Expr", "FromItem", "Statement"} | {
+    name for name, value in list(globals().items())
+    if dataclasses.is_dataclass(value) and not issubclass(value, TypeRef)}
+
+#: per AST node class, the fields that can hold nodes (a node, None or
+#: a tuple nesting them), last field first; scalar fields are dropped
+CHILD_FIELDS: dict[type, tuple[str, ...]] = {
+    node_type: tuple(
+        field.name for field in reversed(dataclasses.fields(node_type))
+        if _NODE_NAMES.intersection(re.findall(r"\w+", field.type)))
+    for node_type in list(globals().values())
+    if isinstance(node_type, type) and node_type.__name__ in _NODE_NAMES
+    and dataclasses.is_dataclass(node_type)}
+
+
+def walk(node: object, stop: type | tuple[type, ...] = ()
+         ) -> Iterator[object]:
+    """Yield *node* and every AST node below it, depth first, left to
+    right.  Nodes of a *stop* type are yielded but not entered: pass
+    ``SelectStmt`` to treat subqueries as opaque.  Iterative, so a
+    deep tree costs no Python stack."""
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    children = CHILD_FIELDS.get
+    while stack:
+        current = pop()
+        names = children(type(current))
+        if names is None:  # a tuple of children, None, or a scalar
+            if type(current) is tuple:
+                stack.extend(reversed(current))
+            continue
+        yield current
+        if names and not isinstance(current, stop):
+            for name in names:
+                push(getattr(current, name))
+
+
+def flatten(expression: Expr, operator: str) -> list[Expr]:
+    """The operands of the *operator* chain at *expression*, left to
+    right: ``a AND (b AND c) AND d`` gives ``[a, b, c, d]``.  A loop,
+    not a recursion, so a 10 000-term AND/OR costs no Python stack."""
+    operands: list[Expr] = []
+    pending = [expression]
+    while pending:
+        node = pending.pop()
+        if type(node) is BinaryOp and node.operator == operator:
+            pending += (node.right, node.left)
+        else:
+            operands.append(node)
+    return operands

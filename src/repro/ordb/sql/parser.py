@@ -30,6 +30,13 @@ _SCALAR_KEYWORDS = frozenset({
 #: CREATE INDEX ... USING methods (None = the default sorted index).
 _INDEX_METHODS = frozenset({"FULLTEXT", "TRIGRAM"})
 
+#: How deep a statement may nest.  Each SELECT (subqueries included),
+#: each expression the parser enters (a condition, a select-list entry,
+#: one in parentheses or an argument list), each NOT and each unary
+#: sign is one level; deeper input is a ParseError (ORA-00900), not a
+#: crash of this recursive-descent parser or of the recursive evaluator.
+MAX_NESTING = 64
+
 
 class SQLParser:
     """Parses one statement per :meth:`parse` call."""
@@ -38,6 +45,7 @@ class SQLParser:
         self.text = text
         self.tokens = tokenize(text)
         self.index = 0
+        self.depth = 0
 
     # -- token primitives --------------------------------------------------------
 
@@ -90,6 +98,13 @@ class SQLParser:
             return token.text
         self.error(f"expected {what}")
         raise AssertionError("unreachable")
+
+    def descend(self) -> None:
+        """Enter one nesting level (the caller leaves it again with
+        ``self.depth -= 1``); past :data:`MAX_NESTING` it is an error."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error(f"statement nests deeper than {MAX_NESTING} levels")
 
     def error(self, message: str) -> None:
         token = self.current
@@ -517,6 +532,7 @@ class SQLParser:
     # -- SELECT ------------------------------------------------------------------------
 
     def _parse_select(self) -> ast.SelectStmt:
+        self.descend()
         self.expect_keyword("SELECT")
         distinct = self.accept_keyword("DISTINCT")
         self.accept_keyword("ALL")
@@ -572,6 +588,7 @@ class SQLParser:
                 self.error("expected ROW or ROWS in FETCH FIRST")
             self.expect_keyword("ONLY")
             fetch_first = max(0, int(count.value))
+        self.depth -= 1
         return ast.SelectStmt(tuple(items), tuple(from_items), where,
                               tuple(group_by), having, tuple(order_by),
                               distinct, fetch_first)
@@ -623,7 +640,10 @@ class SQLParser:
     # -- expressions ----------------------------------------------------------------------
 
     def _parse_expression(self) -> ast.Expr:
-        return self._parse_or()
+        self.descend()
+        expression = self._parse_or()
+        self.depth -= 1
+        return expression
 
     def _parse_or(self) -> ast.Expr:
         left = self._parse_and()
@@ -639,7 +659,10 @@ class SQLParser:
 
     def _parse_not(self) -> ast.Expr:
         if self.accept_keyword("NOT"):
-            return ast.UnaryOp("NOT", self._parse_not())
+            self.descend()
+            operand = self._parse_not()
+            self.depth -= 1
+            return ast.UnaryOp("NOT", operand)
         return self._parse_predicate()
 
     def _parse_predicate(self) -> ast.Expr:
@@ -700,7 +723,10 @@ class SQLParser:
     def _parse_unary(self) -> ast.Expr:
         if self.at_operator("-", "+"):
             operator = self.advance().text
-            return ast.UnaryOp(operator, self._parse_unary())
+            self.descend()
+            operand = self._parse_unary()
+            self.depth -= 1
+            return ast.UnaryOp(operator, operand)
         return self._parse_postfix()
 
     def _parse_postfix(self) -> ast.Expr:

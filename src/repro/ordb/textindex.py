@@ -28,7 +28,6 @@ planner falls back to a scan when no probe applies.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 
@@ -468,25 +467,10 @@ def select_scans_vectors(statement: ast.SelectStmt) -> bool:
         expressions.append(statement.having)
     expressions.extend(statement.group_by)
     expressions.extend(order.expression for order in statement.order_by)
-    return any(_mentions_vector_distance(expression)
-               for expression in expressions)
-
-
-def _mentions_vector_distance(node: object) -> bool:
-    if isinstance(node, ast.SelectStmt):
-        return False  # counted when the subquery executes
-    if isinstance(node, ast.FunctionCall):
-        if node.name.upper() == "VECTOR_DISTANCE":
-            return True
-        return any(_mentions_vector_distance(argument)
-                   for argument in node.arguments)
-    if isinstance(node, (list, tuple)):
-        return any(_mentions_vector_distance(item) for item in node)
-    if dataclasses.is_dataclass(node) and not isinstance(node, type):
-        return any(
-            _mentions_vector_distance(getattr(node, field.name))
-            for field in dataclasses.fields(node))
-    return False
+    return any(isinstance(node, ast.FunctionCall)
+               and node.name.upper() == "VECTOR_DISTANCE"
+               for expression in expressions
+               for node in ast.walk(expression, ast.SelectStmt))
 
 
 def normalize_metric(metric: str) -> str:

@@ -14,7 +14,7 @@ from repro.obs import Observability
 from repro.ordb import TransientEngineFault
 from repro.ordb.errors import DanglingReference, UniqueViolation
 from repro.xmlkit import parse
-from repro.xmlkit.errors import XMLValidityError
+from repro.xmlkit.errors import XMLSyntaxError, XMLValidityError
 
 SCHOOL_DTD = """
 <!ELEMENT School (Student+, Course+, Enrolment*)>
@@ -124,6 +124,20 @@ class TestStoreMany:
         # good documents really committed
         assert report.doc_ids == [1, 2]
         assert tool.fetch(2).root_element.find("Student") is not None
+
+    def test_too_deep_document_is_quarantined(self, tool):
+        """A 10 000-deep document is refused by the XML parser; the
+        rest of the batch stores around it."""
+        deep = "<School>" + "<x>" * 10_000 + "</x>" * 10_000 + "</School>"
+        report = tool.store_many(
+            [school_doc(1), deep, school_doc(2)],
+            continue_on_error=True, retry=NO_RETRY)
+        assert [o.status for o in report.outcomes] == \
+            ["stored", "quarantined", "stored"]
+        (refused,) = report.quarantined
+        assert isinstance(refused.error, XMLSyntaxError)
+        assert refused.error_code == "XMLSyntaxError"
+        assert report.doc_ids == [1, 2]
 
     def test_abort_rolls_back_whole_batch(self, tool):
         before = state_snapshot(tool)

@@ -12,7 +12,8 @@ from repro.core import XML2Oracle, compare
 from repro.dtd import RecursionError_, build_tree, parse_dtd
 from repro.ordb import CompatibilityMode
 from repro.workloads import ORG_CHART_DOCUMENT, ORG_CHART_DTD
-from repro.xmlkit import parse
+from repro.xmlkit import XMLSyntaxError, parse
+from repro.xmlkit.parser import MAX_ELEMENT_DEPTH
 
 #: the paper's own Professor/Dept cycle
 PAPER_DTD = """
@@ -135,3 +136,30 @@ class TestRecursionDepth:
         stored = tool.store(document)
         assert stored.load_result.insert_count == depth + 1
         assert compare(document, tool.fetch(stored.doc_id)).score == 1.0
+
+
+def professor_chain(pairs: int) -> str:
+    """The paper's Professor/Dept cycle nested *pairs* times; its
+    deepest element (the last DName) sits at level 2 * pairs + 2."""
+    opening = "".join(
+        f"<Professor><PName>p{level}</PName><Dept><DName>d{level}</DName>"
+        for level in range(pairs))
+    return f"<Root>{opening}{'</Dept></Professor>' * pairs}</Root>"
+
+
+class TestDepthLimit:
+    def test_chain_at_the_xml_depth_limit_stores_and_round_trips(self):
+        pairs = (MAX_ELEMENT_DEPTH - 2) // 2
+        assert 2 * pairs + 2 == MAX_ELEMENT_DEPTH
+        tool = XML2Oracle()
+        tool.register_schema(PAPER_DTD)
+        document = parse(professor_chain(pairs))
+        stored = tool.store(document)
+        assert compare(document, tool.fetch(stored.doc_id)).score == 1.0
+        deepest = "/Root" + "/Professor/Dept" * pairs + "/DName"
+        assert tool.query(deepest).rows == [(f"d{pairs - 1}",)]
+
+    def test_one_pair_longer_is_a_syntax_error(self):
+        pairs = (MAX_ELEMENT_DEPTH - 2) // 2 + 1
+        with pytest.raises(XMLSyntaxError, match="nest deeper"):
+            parse(professor_chain(pairs))

@@ -222,6 +222,15 @@ class TestAggregates:
             " GROUP BY p.city HAVING COUNT(*) > 1")
         assert result.rows == [("Leipzig", 2)]
 
+    def test_having_reads_an_inner_and_of_row_values(self, people):
+        """``(p.age >= 0 AND p.age < 200)`` is read from each group's
+        first row, so the AND chain must reach it whole, not split."""
+        result = people.execute(
+            "SELECT p.city, COUNT(*) c FROM people p"
+            " WHERE p.city IS NOT NULL GROUP BY p.city"
+            " HAVING COUNT(*) > 1 AND (p.age >= 0 AND p.age < 200)")
+        assert result.rows == [("Leipzig", 2)]
+
     def test_expression_over_aggregate(self, people):
         assert people.execute(
             "SELECT COUNT(*) * 10 FROM people").scalar() == 40

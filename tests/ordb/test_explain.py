@@ -196,6 +196,49 @@ class TestExplainGolden:
             " 2      SCAN TabProf  rows=2  cost=2",
         ])
 
+    def test_ref_path_left_of_in_subquery(self, university):
+        """The operand of ``IN (SELECT ...)`` is searched like any
+        other operand: its REF dereference is a plan step, and the
+        query counts as dot navigation."""
+        plan = university.explain(
+            "SELECT c.Title FROM TabStudent s, TABLE(s.attrCourse) c"
+            " WHERE c.Prof.Subject IN (SELECT p.Subject FROM TabProf p)")
+        assert plan.render() == "\n".join([
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]  ~rows=2",
+            " 1    PROJECT [c.Title]  ~rows=2",
+            " 2      FILTER [c.Prof.Subject IN (SELECT ...)]  ~rows=2",
+            " 3        NESTED-LOOP JOIN  ~rows=4",
+            " 4          SCAN TabStudent  rows=2  cost=2",
+            " 5          COLLECTION EXPAND TABLE(s.attrCourse)  ~rows=2",
+            " 6    REF DEREF TYPE_PROF [c.Prof]",
+        ])
+        assert plan.uses_dot_navigation
+
+    @pytest.mark.parametrize("condition", [
+        "c.Prof.Subject IN ('CAD', 'XML')",
+        "c.Title LIKE c.Prof.Subject",
+        "c.Title BETWEEN 'A' AND c.Prof.Subject",
+        "CAST(c.Prof.Subject AS VARCHAR2(9)) = 'CAD'",
+        "CASE WHEN c.Prof.Subject = 'CAD' THEN 1 END = 1",
+    ])
+    def test_dot_navigation_inside_any_operand(self, university,
+                                               condition):
+        plan = university.explain(
+            "SELECT c.Title FROM TabStudent s, TABLE(s.attrCourse) c"
+            f" WHERE {condition}")
+        assert plan.uses_dot_navigation
+
+    def test_insert_constructs_left_of_in_subquery(self, university):
+        plan = university.explain(
+            "INSERT INTO TabProf VALUES (Type_Prof(CASE WHEN"
+            " Type_Prof('x', 'y') IN (SELECT p.PName FROM TabProf p)"
+            " THEN 'a' END, 'XML'))")
+        assert plan.render() == "\n".join([
+            " 0  INSERT STATEMENT TabProf  rows=1",
+            " 1    CONSTRUCT Type_Prof [2 argument(s)]",
+            " 2      CONSTRUCT Type_Prof [2 argument(s)]",
+        ])
+
     def test_explain_via_sql_result(self, university):
         result = university.execute(
             "EXPLAIN SELECT p.PName FROM TabProf p")

@@ -4,7 +4,8 @@ import pytest
 
 from repro.ordb.errors import ParseError
 from repro.ordb.sql import ast
-from repro.ordb.sql.parser import parse_statement
+from repro.ordb import Database
+from repro.ordb.sql.parser import MAX_NESTING, parse_statement
 
 
 class TestCreateType:
@@ -249,3 +250,41 @@ class TestErrors:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError, match="trailing"):
             parse_statement("SELECT a FROM t extra garbage ,")
+
+
+#: statements nested far past MAX_NESTING: each must be refused with
+#: ORA-00900 (ParseError), never die in a RecursionError (ORA-00600)
+DEEP_STATEMENTS = {
+    "1000 nested parentheses":
+        "SELECT " + "(" * 1000 + "1" + ")" * 1000 + " FROM T",
+    "1000 nested scalar subqueries":
+        "SELECT " + "(SELECT " * 1000 + "1 FROM T" + ")" * 1000
+        + " FROM T",
+    "10000 NOTs": "SELECT a FROM T WHERE " + "NOT " * 10_000 + "a = 1",
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("name", sorted(DEEP_STATEMENTS))
+    def test_deep_statement_is_a_parse_error(self, name):
+        db = Database()
+        db.execute("CREATE TABLE T (a NUMBER)")
+        with pytest.raises(ParseError) as info:
+            db.execute(DEEP_STATEMENTS[name])
+        assert info.value.code == "ORA-00900"
+        assert f"deeper than {MAX_NESTING} levels" in str(info.value)
+
+    def test_each_parenthesis_is_one_level(self):
+        """The SELECT and its select-list expression take two levels;
+        every parenthesis, NOT and unary sign one more."""
+        def nested(depth: int) -> str:
+            return "SELECT " + "(" * depth + "1" + ")" * depth + " FROM T"
+
+        parse_statement(nested(MAX_NESTING - 2))
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_statement(nested(MAX_NESTING - 1))
+        parse_statement("SELECT a FROM T WHERE "
+                        + "NOT " * (MAX_NESTING - 2) + "a = 1")
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse_statement("SELECT " + "- " * (MAX_NESTING - 1)
+                            + "1 FROM T")

@@ -18,6 +18,7 @@ import time
 
 from hypothesis import given, settings, strategies as st
 
+from repro.obs import Observability
 from repro.ordb import (
     Database,
     FaultInjector,
@@ -293,6 +294,20 @@ def test_group_commit_batches_committers_queued_behind_the_leader(
     assert [reopened.execute(f"SELECT t.n FROM T{n} t").scalar()
             for n in range(committers)] == list(range(committers))
     reopened.close()
+
+
+def test_group_commit_batch_sizes_fall_in_record_count_buckets():
+    """``db.group_commit_batch_size`` counts records, so its buckets
+    are counts too: batches of 1, 1, 2 and 3 records read p50 = 1 and
+    a maximum bucket of 4, and nothing overflows into ``+Inf``."""
+    db = Database(obs=Observability(enabled=True))
+    for frame_sizes in ([40], [40], [40, 52], [40, 52, 61]):
+        db._group_batch_written(frame_sizes)
+    histogram = db.obs.metrics.get("db.group_commit_batch_size")
+    assert histogram.count == 4
+    assert histogram.quantile(0.5) == 1
+    assert histogram.quantile(1.0) == 4
+    assert histogram.bucket_counts[-1] == 0  # the +Inf bucket
 
 
 def test_concurrent_commits_are_counted_exactly(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 from repro.client import connect
 from repro.ordb.errors import (
     ConnectionLost,
+    ParseError,
     ProtocolError,
     ServerBusy,
     StatementTimeout,
@@ -25,6 +26,7 @@ from repro.server import wire
 
 from .conftest import SCHOOL_DOC
 from tests.ordb.test_concurrency import run_threads
+from tests.ordb.test_sql_parser import DEEP_STATEMENTS
 
 
 class TestRequestCycle:
@@ -51,6 +53,16 @@ class TestRequestCycle:
             assert any("Ann" in str(cell)
                        for row in result.rows for cell in row)
             assert "<SName>Ann</SName>" in conn.fetch(doc_id)
+
+    @pytest.mark.parametrize("name", sorted(DEEP_STATEMENTS))
+    def test_deep_statement_is_a_parse_error_over_the_wire(
+            self, server, name):
+        with connect(server.url) as conn:
+            conn.execute("CREATE TABLE T (a NUMBER)")
+            with pytest.raises(ParseError) as info:
+                conn.execute(DEEP_STATEMENTS[name])
+            assert info.value.code == "ORA-00900"  # not ORA-00600
+            assert conn.ping()  # the session survives
 
     def test_repeated_registration_reuses_the_schema(self, server):
         with connect(server.url) as conn:

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.xmlkit import XMLSyntaxError, parse
+from repro.xmlkit.parser import MAX_ELEMENT_DEPTH
 
 
 @pytest.mark.parametrize("source", [
@@ -37,6 +38,25 @@ def test_error_carries_position():
     assert info.value.line == 2
     assert info.value.column == 9
     assert info.value.message == "end tag </c> does not match <b>"
+
+
+def test_too_deep_document_is_a_positioned_error():
+    """10 000 nested elements: refused at the first element past the
+    limit, never a RecursionError."""
+    with pytest.raises(XMLSyntaxError) as info:
+        parse("<a>" * 10_000 + "</a>" * 10_000)
+    assert info.value.line == 1
+    assert info.value.column == 3 * MAX_ELEMENT_DEPTH + 1
+    assert info.value.message == (
+        f"elements nest deeper than {MAX_ELEMENT_DEPTH} levels")
+
+
+def test_document_at_the_depth_limit_parses():
+    depth = MAX_ELEMENT_DEPTH
+    element = parse("<a>" * depth + "x" + "</a>" * depth).root_element
+    for _ in range(depth - 1):
+        element = element.children[0]
+    assert element.text_content() == "x"
 
 
 def test_illegal_control_character_position():
