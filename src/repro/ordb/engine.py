@@ -67,7 +67,6 @@ from .errors import (
     NameInUse,
     NestedCollectionNotSupported,
     NoSuchColumn,
-    NoSuchTable,
     NoSuchType,
     NotSupported,
     NullNotAllowed,
@@ -88,7 +87,7 @@ from .indexes import (
     SortedIndex,
     build_auto_indexes,
 )
-from .planner import AccessPlan, compute_table_stats, plan_access
+from .planner import LevelPlan, SelectPlan, compute_table_stats, plan_select
 from .textindex import (
     ContentIndex,
     FullTextIndex,
@@ -99,7 +98,7 @@ from .textindex import (
 )
 from .locks import CATALOG_RESOURCE, EXCLUSIVE, SHARED, LockManager
 from .sessions import Session
-from .expressions import AGGREGATE_FUNCTIONS, Binding, Env, Evaluator
+from .expressions import Binding, Env, Evaluator
 from .results import Result
 from .select import Partial, PartialSelect, Pipeline
 from .schema import Catalog, Column, CompatibilityMode, Table, View
@@ -1773,51 +1772,33 @@ class Database:
 
     # -- DML: update / delete ------------------------------------------------------------------
 
-    def _dml_access(self, table: Table, alias_key: str,
-                    where: ast.Expr | None) -> AccessPlan | None:
-        """Costed access plan for UPDATE/DELETE row selection (None =
-        nothing pushable; plain scan).  Shared with EXPLAIN so the
-        rendered DML access path is the one that runs."""
-        if where is None:
-            return None
-        pushed: list[ast.Expr] = []
-        for conjunct in ast.flatten(where, "AND"):
-            heads: set[str] = set()
-            if (_analyze_references(conjunct, heads) and heads
-                    and heads <= {alias_key}):
-                pushed.append(conjunct)
-        if not pushed:
-            return None
-        return plan_access(table, alias_key, pushed,
-                           allow_probes=self.enable_indexes)
-
-    def _dml_candidates(self, table: Table,
-                        plan: AccessPlan | None) -> list[Row] | None:
-        """Probe candidates for a DML statement (a superset of the
-        matches — the full WHERE is still evaluated on every row), or
-        None when the plan is a scan."""
-        if plan is None or plan.probe is None or not table.data.rows:
-            return None
-        return self._execute_probe(plan.probe, Env([]))
+    def _dml_rows(self, table: Table, alias_key: str,
+                  level: LevelPlan):
+        """Yield ``(row, env)`` for each row of *table* an UPDATE or
+        DELETE selects: the level's access path gives the candidates
+        (a probe's superset of the matches, or every row) and its
+        filters are checked one row at a time, as the caller goes."""
+        probe = level.access.probe if level.access is not None else None
+        candidates = None
+        if probe is not None and table.data.rows:
+            candidates = self._execute_probe(probe, Env([]))
+        for row in list(table.data.rows if candidates is None
+                        else candidates):
+            if (self._statement_deadline is not None
+                    and time.monotonic() > self._statement_deadline):
+                self._deadline_expired()
+            env = Env([Binding(alias_key, row.values, table, row.oid)])
+            if all(self.evaluator.eval_predicate(conjunct, env) is True
+                   for conjunct in level.filters):
+                yield row, env
 
     def _update(self, statement: ast.Update) -> Result:
         table = self.catalog.table(statement.table)
         alias_key = identifiers.normalize(statement.alias
                                           or statement.table)
-        plan = self._dml_access(table, alias_key, statement.where)
-        candidates = self._dml_candidates(table, plan)
+        plan = plan_select(self.catalog, statement, self.enable_indexes)
         count = 0
-        for row in (list(table.data.rows) if candidates is None
-                    else list(candidates)):
-            if (self._statement_deadline is not None
-                    and time.monotonic() > self._statement_deadline):
-                self._deadline_expired()
-            binding = Binding(alias_key, row.values, table, row.oid)
-            env = Env([binding])
-            if statement.where is not None:
-                if self.evaluator.eval_predicate(statement.where,
-                                                 env) is not True:
-                    continue
+        for row, env in self._dml_rows(table, alias_key, plan.levels[0]):
             new_values = dict(row.values)
             for target, expression in statement.assignments:
                 column_key = self._assignment_target(table, alias_key,
@@ -1876,23 +1857,12 @@ class Database:
         table = self.catalog.table(statement.table)
         alias_key = identifiers.normalize(statement.alias
                                           or statement.table)
-        plan = self._dml_access(table, alias_key, statement.where)
-        candidates = self._dml_candidates(table, plan)
-        candidate_ids = (None if candidates is None
-                         else {id(row) for row in candidates})
-        doomed: list[tuple[int, Row]] = []
-        for index, row in enumerate(table.data.rows):
-            if (candidate_ids is not None
-                    and id(row) not in candidate_ids):
-                # the probe proved the WHERE cannot match this row
-                continue
-            if statement.where is not None:
-                binding = Binding(alias_key, row.values, table, row.oid)
-                verdict = self.evaluator.eval_predicate(
-                    statement.where, Env([binding]))
-                if verdict is not True:
-                    continue
-            doomed.append((index, row))
+        plan = plan_select(self.catalog, statement, self.enable_indexes)
+        matched = {id(row) for row, _env
+                   in self._dml_rows(table, alias_key, plan.levels[0])}
+        doomed = [(index, row)
+                  for index, row in enumerate(table.data.rows)
+                  if id(row) in matched]
         # delete highest index first so positions stay valid; undo
         # entries replay in reverse, reinserting lowest index first
         for index, row in reversed(doomed):
@@ -1952,41 +1922,37 @@ class Database:
             limit = fetch if limit is None else min(limit, fetch)
         if select_scans_vectors(statement):
             self.stats["vector_scans"] += 1
+        if (pipeline.grouped or statement.order_by != ()
+                or statement.distinct):
+            limit = None  # every row is needed before any is cut
         environments = self._enumerate_rows(
-            statement, outer_env, None if pipeline.grouped else limit)
+            plan_select(self.catalog, statement, self.enable_indexes),
+            outer_env, limit)
         return pipeline.partial(environments, self.evaluator)
 
-    def _enumerate_rows(self, statement: ast.SelectStmt,
-                        outer_env: Env | None,
+    def _enumerate_rows(self, plan: SelectPlan, outer_env: Env | None,
                         limit: int | None) -> list[Env]:
+        """The environments of the rows that pass *plan*'s filters,
+        nested-loop style; enumeration stops at *limit* rows."""
         environments: list[Env] = []
-        short_circuit = (limit is not None and statement.order_by == ()
-                         and not statement.group_by
-                         and not statement.distinct)
-        per_level, residual = self._plan_predicates(statement)
-        plans = [
-            self._level_access(item, pushed)
-            for item, pushed in zip(statement.from_items, per_level)
-        ]
+        levels = plan.levels
+        residual = plan.residual
 
         def expand(index: int, frames: list[Binding]) -> bool:
-            if index == len(statement.from_items):
+            if index == len(levels):
                 env = Env(list(frames), outer_env)
                 for conjunct in residual:
                     if self.evaluator.eval_predicate(conjunct,
                                                      env) is not True:
                         return False
                 environments.append(env)
-                return bool(short_circuit
-                            and len(environments) >= (limit or 0))
-            item = statement.from_items[index]
+                return limit is not None and len(environments) >= limit
+            level = levels[index]
             partial = Env(list(frames), outer_env)
-            plan = plans[index]
-            # the planner reorders pushed conjuncts most-selective
-            # first (REF dereferences last); all of them still run
-            pushed = (plan.filters if plan is not None
-                      else per_level[index])
-            for binding in self._bindings_for(item, partial, plan):
+            # the planner put the pushed conjuncts most-selective
+            # first (REF dereferences last); all of them run
+            pushed = level.filters
+            for binding in self._bindings_for(level, partial):
                 frames.append(binding)
                 env = Env(frames, outer_env) if pushed else None
                 passed = all(
@@ -1998,59 +1964,10 @@ class Database:
                     return True
             return False
 
-        if len(statement.from_items) > 1:
-            self.stats["joins"] += len(statement.from_items) - 1
+        if len(levels) > 1:
+            self.stats["joins"] += len(levels) - 1
         expand(0, [])
         return environments
-
-    def _plan_predicates(
-            self, statement: ast.SelectStmt
-    ) -> tuple[list[list[ast.Expr]], list[ast.Expr]]:
-        """Split WHERE into AND-conjuncts and push each down to the
-        earliest join level where all of its alias references are
-        bound.  Only conjuncts that reference nothing but explicit
-        from-item aliases (and contain no subqueries) are pushed; the
-        rest run after the full row is assembled, preserving SQL
-        semantics for correlation and ambiguity checking."""
-        levels: list[list[ast.Expr]] = [
-            [] for _ in statement.from_items]
-        residual: list[ast.Expr] = []
-        if statement.where is None or not statement.from_items:
-            if statement.where is not None:
-                residual.append(statement.where)
-            return levels, residual
-        alias_level: dict[str, int] = {}
-        for index, item in enumerate(statement.from_items):
-            name = getattr(item, "alias", None) or getattr(
-                item, "name", None)
-            if name:
-                alias_level[identifiers.normalize(name)] = index
-        for conjunct in ast.flatten(statement.where, "AND"):
-            heads: set[str] = set()
-            pushable = _analyze_references(conjunct, heads)
-            if pushable and heads and all(
-                    head in alias_level for head in heads):
-                level = max(alias_level[head] for head in heads)
-                levels[level].append(conjunct)
-            else:
-                residual.append(conjunct)
-        return levels, residual
-
-    def _level_access(self, item: ast.FromItem,
-                      pushed: list[ast.Expr]) -> AccessPlan | None:
-        """Costed access plan for one FROM item (None = not a plain
-        table: views, subqueries and TABLE() plan their own reads)."""
-        if not isinstance(item, ast.TableRef):
-            return None
-        key = identifiers.normalize(item.name)
-        if key in self.catalog.views:
-            return None
-        table = self.catalog.tables.get(key)
-        if table is None:  # let _bindings_for raise NoSuchTable
-            return None
-        alias_key = identifiers.normalize(item.alias or item.name)
-        return plan_access(table, alias_key, pushed,
-                           allow_probes=self.enable_indexes)
 
     def _probe_rows(self, probe: ProbeSpec,
                     env: Env) -> list[Row] | None:
@@ -2124,9 +2041,8 @@ class Database:
             return self._trigram_probe_rows(probe)
         return self._probe_rows(probe, env)
 
-    def _bindings_for(self, item: ast.FromItem, env: Env,
-                      plan: AccessPlan | None = None):
-        """Bindings for one FROM item.
+    def _bindings_for(self, level: LevelPlan, env: Env):
+        """Bindings for one FROM level, read by its access path.
 
         ``rows_scanned``/``full_scans`` are counted here and only for
         *physical* row visits (table rows — scanned or probed — and
@@ -2135,6 +2051,7 @@ class Database:
         already accounted for the physical work it did, and a view
         answered from the statement's memo did none at all.
         """
+        item, plan = level.item, level.access
         if isinstance(item, ast.TableRef):
             key = identifiers.normalize(item.name)
             if key in self.catalog.views:
@@ -2225,11 +2142,7 @@ class Database:
     def _collection_element_type(self, value: CollectionValue):
         datatype = self.catalog.types.get(
             identifiers.normalize(value.type_name))
-        if isinstance(datatype, (NestedTableType,)):
-            return datatype.element_type
-        if datatype is not None and hasattr(datatype, "element_type"):
-            return datatype.element_type
-        return None
+        return getattr(datatype, "element_type", None)
 
     def _view_result(self, view: View) -> Result:
         """Evaluate *view*'s query once per statement.
@@ -2318,28 +2231,3 @@ def _collect_table_refs(node: object, names: set[str]) -> None:
     and INSERT...SELECT sources alike."""
     names.update(identifiers.normalize(ref.name) for ref in ast.walk(node)
                  if isinstance(ref, ast.TableRef))
-
-
-#: what a pushable conjunct may be built from besides qualified
-#: column paths (subqueries, EXISTS, CAST, stars, unqualified names
-#: and aggregate calls are not pushable)
-_PUSHDOWN_TRANSPARENT = (
-    ast.Literal, ast.DateLiteral, ast.BinaryOp, ast.UnaryOp, ast.IsNull,
-    ast.Like, ast.Between, ast.InList, ast.AttributeAccess,
-    ast.FunctionCall, ast.CaseWhen)
-
-
-def _analyze_references(expression: ast.Expr,
-                        heads: set[str]) -> bool:
-    """Collect qualified-path heads; False when the conjunct is not
-    safe to push down (subqueries, unqualified columns, stars)."""
-    for node in ast.walk(expression):
-        if isinstance(node, ast.ColumnPath):
-            if len(node.parts) < 2:
-                return False  # unqualified name: resolve with full row
-            heads.add(identifiers.normalize(node.parts[0]))
-        elif not isinstance(node, _PUSHDOWN_TRANSPARENT) or (
-                isinstance(node, ast.FunctionCall)
-                and node.name.upper() in AGGREGATE_FUNCTIONS):
-            return False
-    return True

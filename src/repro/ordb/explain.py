@@ -1,10 +1,11 @@
-"""EXPLAIN: describe how the engine would evaluate a statement.
+"""EXPLAIN: render the plan a statement would run.
 
-A plan here is a faithful rendering of what :mod:`repro.ordb.engine`
-will actually do: the same cost-based access-path pass
-(:mod:`repro.ordb.planner`) the executor runs decides whether each
-FROM level renders as SCAN, INDEX [UNIQUE] LOOKUP or RANGE INDEX
-SCAN.  Lines are annotated with row estimates and costs:
+There is one plan.  :func:`repro.ordb.planner.plan_select` decides
+which WHERE conjunct runs at which FROM level and which access path
+each level uses; the executor runs that plan and :class:`PlanBuilder`
+renders it, so each FROM level prints as SCAN, INDEX [UNIQUE] LOOKUP,
+RANGE INDEX SCAN or a content-index scan exactly as it will run.
+Lines are annotated with row estimates and costs:
 
 * ``rows=N``  — an exact count (table sizes are known);
 * ``~rows=N`` — an estimate: collection expansions use the average
@@ -15,9 +16,10 @@ SCAN.  Lines are annotated with row estimates and costs:
   range probe = log2(N+1) + matching rows).  The statement root
   carries the plan total when every FROM level was costable.
 
-:class:`PlanBuilder` interprets the same AST the executor does and
-never touches row data beyond counting, so ``EXPLAIN`` has no side
-effects and bumps no scan counters.
+The estimates for views, subqueries and ``TABLE()`` live here, in the
+renderer, because the executor never needs them.  Rendering never
+touches row data beyond counting, so ``EXPLAIN`` has no side effects
+and bumps no scan counters.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from . import identifiers
 from .datatypes import NestedTableType, ObjectType, RefType, VarrayType
 from .errors import NotSupported
 from .expressions import contains_aggregate, sub_expressions
+from .planner import LevelPlan, plan_select
 from .sql import ast
 from .values import CollectionValue
 
@@ -38,7 +41,8 @@ FILTER_SELECTIVITY = 1 / 3
 
 @dataclass
 class PlanStep:
-    """One line of a rendered plan."""
+    """One step of a plan: a line of the rendered tree, with the
+    steps it reads from as ``children``."""
 
     operation: str
     target: str = ""
@@ -47,6 +51,7 @@ class PlanStep:
     exact: bool = False
     cost: float | None = None
     depth: int = 0
+    children: list[PlanStep] = field(default_factory=list, repr=False)
 
     def render(self) -> str:
         text = self.operation
@@ -60,6 +65,17 @@ class PlanStep:
         if self.cost is not None:
             text += f"  cost={round(self.cost)}"
         return text
+
+    def flatten(self, depth: int = 0,
+                into: list[PlanStep] | None = None) -> list[PlanStep]:
+        """This step and every step below it, depth first, each with
+        its ``depth`` set."""
+        steps = into if into is not None else []
+        self.depth = depth
+        steps.append(self)
+        for child in self.children:
+            child.flatten(depth + 1, steps)
+        return steps
 
 
 @dataclass
@@ -93,33 +109,6 @@ class QueryPlan:
         return "\n".join(lines)
 
 
-class _Node:
-    """Plan-tree node; flattened into :class:`PlanStep` rows."""
-
-    __slots__ = ("operation", "target", "detail", "rows", "exact",
-                 "cost", "children")
-
-    def __init__(self, operation: str, target: str = "",
-                 detail: str = "", rows: int | None = None,
-                 exact: bool = False, cost: float | None = None):
-        self.operation = operation
-        self.target = target
-        self.detail = detail
-        self.rows = rows
-        self.exact = exact
-        self.cost = cost
-        self.children: list[_Node] = []
-
-    def flatten(self, depth: int = 0,
-                into: list[PlanStep] | None = None) -> list[PlanStep]:
-        steps = into if into is not None else []
-        steps.append(PlanStep(self.operation, self.target, self.detail,
-                              self.rows, self.exact, self.cost, depth))
-        for child in self.children:
-            child.flatten(depth + 1, steps)
-        return steps
-
-
 def _filtered(rows: int | None) -> int | None:
     if rows is None:
         return None
@@ -127,11 +116,12 @@ def _filtered(rows: int | None) -> int | None:
 
 
 class PlanBuilder:
-    """Builds :class:`QueryPlan` trees against a live database."""
+    """Renders a statement's plan as a :class:`QueryPlan` against a
+    live database."""
 
     def __init__(self, db, read_mode: str | None = None):
-        self.db = db
         self.catalog = db.catalog
+        self.enable_indexes = db.enable_indexes
         #: rendered on the SELECT STATEMENT line: "SNAPSHOT READ
         #: @latest" or "SNAPSHOT READ @<ts>" (pinned transaction
         #: snapshot) — how the SELECT would actually read rows
@@ -150,23 +140,17 @@ class PlanBuilder:
                 join_count=max(0, len(statement.from_items) - 1),
                 has_subquery=has_subquery,
                 uses_dot_navigation=uses_dot_navigation(statement))
-        elif isinstance(statement, ast.Insert):
-            root = self._insert_node(statement)
-            plan = QueryPlan(
-                tables=[identifiers.normalize(statement.table)])
-        elif isinstance(statement, ast.Update):
-            root = self._update_node(statement)
-            plan = QueryPlan(
-                tables=[identifiers.normalize(statement.table)])
-        elif isinstance(statement, ast.Delete):
-            root = self._delete_node(statement)
+        elif isinstance(statement, (ast.Insert, ast.Update, ast.Delete)):
+            root = (self._insert_node(statement)
+                    if isinstance(statement, ast.Insert)
+                    else self._dml_node(statement))
             plan = QueryPlan(
                 tables=[identifiers.normalize(statement.table)])
         else:
             raise NotSupported(
                 "EXPLAIN supports SELECT, INSERT, UPDATE or DELETE")
         plan.steps = root.flatten()
-        plan.estimated_rows = root.rows
+        plan.estimated_rows = root.estimated_rows
         return plan
 
     def _legacy_summary(self,
@@ -184,142 +168,136 @@ class PlanBuilder:
                 tables.append("TABLE()")
         return tables, has_subquery
 
-    # -- SELECT ------------------------------------------------------------------
+    # -- the plan ----------------------------------------------------------------
 
-    def _select_node(self, statement: ast.SelectStmt) -> _Node:
-        alias_map = self._alias_map(statement)
-        per_level, residual = self.db._plan_predicates(statement)
-        sources: list[_Node] = []
+    def _select_node(self, statement: ast.SelectStmt) -> PlanStep:
+        plan = plan_select(self.catalog, statement, self.enable_indexes)
+        sources: list[PlanStep] = []
         total_cost: float | None = 0.0
         outer_rows = 1
-        for index, item in enumerate(statement.from_items):
-            pushed = list(per_level[index])
-            # the executor's own cost-based access pass: when it
-            # picks a probe, render the lookup instead of SCAN and
-            # keep only the conjuncts the probe does not absorb as
-            # FILTERs (in the planner's evaluation order)
-            plan = self.db._level_access(item, pushed)
-            probe = plan.probe if plan is not None else None
-            if probe is not None:
-                table = self.catalog.tables[
-                    identifiers.normalize(item.name)]
-                node = self._probe_node(table, plan)
-                consumed = {id(conjunct)
-                            for conjunct in probe.conjuncts}
-                pushed = [conjunct for conjunct in plan.filters
-                          if id(conjunct) not in consumed]
-            else:
-                node = self._source_node(item, statement)
-                if plan is not None:
-                    node.cost = plan.cost
-                    pushed = list(plan.filters)
-            if plan is None:
+        for level in plan.levels:
+            sources.append(self._level_node(level, statement))
+            access = level.access
+            if access is None:
                 total_cost = None  # views/subqueries price themselves
             elif total_cost is not None:
                 # nested loops: this level's access path runs once
                 # per combination of already-bound outer rows
-                total_cost += outer_rows * plan.cost
-                outer_rows *= max(1, plan.est_rows)
-            for conjunct in pushed:
-                node = self._wrap_filter(node, conjunct)
-            sources.append(node)
-        if len(sources) > 1:
-            rows = _product(node.rows for node in sources)
-            top = _Node("NESTED-LOOP JOIN", rows=rows,
-                        exact=all(node.exact for node in sources))
-            top.children.extend(sources)
-        elif sources:
-            top = sources[0]
-        else:  # pragma: no cover - the grammar requires FROM
-            top = _Node("EMPTY", rows=0, exact=True)
-        for conjunct in residual:
-            top = self._wrap_filter(top, conjunct)
+                total_cost += outer_rows * access.cost
+                outer_rows *= max(1, access.est_rows)
+        top = sources[0] if len(sources) == 1 else PlanStep(
+            "NESTED-LOOP JOIN",
+            estimated_rows=_product(node.estimated_rows for node in sources),
+            exact=all(node.exact for node in sources), children=sources)
+        for conjunct in plan.residual:
+            top = _wrap_filter(top, conjunct)
         top = self._wrap_shaping(top, statement)
-        root = _Node("SELECT STATEMENT", detail=self.read_mode or "",
-                     rows=top.rows, exact=top.exact, cost=total_cost)
-        root.children.append(top)
-        root.children.extend(self._deref_nodes(statement, alias_map))
-        return root
+        return PlanStep(
+            "SELECT STATEMENT", detail=self.read_mode or "",
+            estimated_rows=top.estimated_rows, exact=top.exact,
+            cost=total_cost,
+            children=[top, *self._deref_nodes(statement)])
 
-    def _probe_node(self, table, plan) -> _Node:
-        """An INDEX [UNIQUE] LOOKUP / RANGE INDEX SCAN access step,
-        annotated with the planner's row estimate and cost."""
-        probe = plan.probe
-        detail = f"{probe.index.name}: " + " AND ".join(
-            render_expr(conjunct) for conjunct in probe.conjuncts)
-        return _Node(probe.operation, target=table.name,
-                     detail=detail, rows=plan.est_rows, exact=False,
-                     cost=plan.cost)
+    def _dml_node(self, statement: ast.Update | ast.Delete) -> PlanStep:
+        """UPDATE and DELETE: their one level, under the statement."""
+        plan = plan_select(self.catalog, statement, self.enable_indexes)
+        child = self._level_node(plan.levels[0], statement)
+        if isinstance(statement, ast.Update):
+            operation = "UPDATE STATEMENT"
+            detail = "SET " + ", ".join(
+                target.source() for target, _ in statement.assignments)
+        else:
+            operation, detail = "DELETE STATEMENT", ""
+        return PlanStep(operation, target=statement.table, detail=detail,
+                        estimated_rows=child.estimated_rows,
+                        exact=child.exact, children=[child])
 
-    def _wrap_filter(self, child: _Node, conjunct: ast.Expr) -> _Node:
-        node = _Node("FILTER", detail=render_expr(conjunct),
-                     rows=_filtered(child.rows))
-        node.children.append(child)
+    def _level_node(self, level: LevelPlan, statement) -> PlanStep:
+        """One level: its access step under a FILTER per conjunct it
+        runs.  A conjunct the probe absorbs is not shown again, and a
+        filter the probe absorbs part of shows the rest, one FILTER
+        per conjunct."""
+        access = level.access
+        probe = access.probe if access is not None else None
+        consumed: set[int] = set()
+        if probe is not None:
+            consumed = {id(conjunct) for conjunct in probe.conjuncts}
+            table = self.catalog.tables[
+                identifiers.normalize(level.item.name)]
+            node = PlanStep(
+                probe.operation, target=table.name,
+                detail=f"{probe.index.name}: " + " AND ".join(
+                    render_expr(conjunct)
+                    for conjunct in probe.conjuncts),
+                estimated_rows=access.est_rows, cost=access.cost)
+        else:
+            node = self._source_node(level.item, statement)
+            if access is not None:
+                node.cost = access.cost
+        for expression in level.filters:
+            for conjunct in (ast.flatten(expression, "AND") if consumed
+                             else (expression,)):
+                if id(conjunct) not in consumed:
+                    node = _wrap_filter(node, conjunct)
         return node
 
-    def _wrap_shaping(self, top: _Node,
-                      statement: ast.SelectStmt) -> _Node:
+    def _wrap_shaping(self, top: PlanStep,
+                      statement: ast.SelectStmt) -> PlanStep:
         has_aggregate = any(
-            _contains_aggregate_item(item) for item in statement.items)
+            contains_aggregate(item.expression) for item in statement.items)
         if statement.group_by or has_aggregate:
-            node = _Node(
+            top = PlanStep(
                 "AGGREGATE",
                 detail=("GROUP BY " + ", ".join(
                     render_expr(e) for e in statement.group_by)
                     if statement.group_by else "single group"),
-                rows=(None if statement.group_by else 1),
-                exact=not statement.group_by)
-            node.children.append(top)
-            top = node
+                estimated_rows=(None if statement.group_by else 1),
+                exact=not statement.group_by, children=[top])
         if statement.distinct:
-            node = _Node("DISTINCT", rows=top.rows)
-            node.children.append(top)
-            top = node
+            top = PlanStep("DISTINCT", estimated_rows=top.estimated_rows,
+                           children=[top])
         if statement.order_by:
-            node = _Node(
+            top = PlanStep(
                 "SORT",
                 detail="ORDER BY " + ", ".join(
                     render_expr(item.expression)
                     for item in statement.order_by),
-                rows=top.rows, exact=top.exact)
-            node.children.append(top)
-            top = node
-        project = _Node(
+                estimated_rows=top.estimated_rows, exact=top.exact,
+                children=[top])
+        return PlanStep(
             "PROJECT",
             detail=", ".join(render_expr(item.expression)
                              for item in statement.items),
-            rows=top.rows, exact=top.exact)
-        project.children.append(top)
-        return project
+            estimated_rows=top.estimated_rows, exact=top.exact,
+            children=[top])
 
-    # -- FROM sources ------------------------------------------------------------
+    # -- FROM sources: what the executor never needs estimated -------------------
 
-    def _source_node(self, item: ast.FromItem,
-                     statement: ast.SelectStmt) -> _Node:
+    def _source_node(self, item: ast.FromItem, statement) -> PlanStep:
         if isinstance(item, ast.TableRef):
             key = identifiers.normalize(item.name)
             view = self.catalog.views.get(key)
             if view is not None:
                 inner = self._select_node(view.query)
-                node = _Node("VIEW", target=view.name, rows=inner.rows)
-                node.children.extend(inner.children)
-                return node
+                return PlanStep("VIEW", target=view.name,
+                                estimated_rows=inner.estimated_rows,
+                                children=inner.children)
             table = self.catalog.tables.get(key)
             rows = len(table.data.rows) if table is not None else None
-            return _Node("SCAN", target=(table.name if table is not None
-                                         else item.name),
-                         rows=rows, exact=rows is not None)
+            return PlanStep("SCAN",
+                            target=(table.name if table is not None
+                                    else item.name),
+                            estimated_rows=rows, exact=rows is not None)
         if isinstance(item, ast.SubqueryRef):
             inner = self._select_node(item.query)
-            node = _Node("SUBQUERY", target=item.alias or "",
-                         rows=inner.rows)
-            node.children.extend(inner.children)
-            return node
+            return PlanStep("SUBQUERY", target=item.alias or "",
+                            estimated_rows=inner.estimated_rows,
+                            children=inner.children)
         assert isinstance(item, ast.TableFunctionRef)
-        return _Node("COLLECTION EXPAND",
-                     target=f"TABLE({render_expr(item.expression)})",
-                     rows=self._collection_estimate(item.expression,
-                                                    statement))
+        return PlanStep("COLLECTION EXPAND",
+                        target=f"TABLE({render_expr(item.expression)})",
+                        estimated_rows=self._collection_estimate(
+                            item.expression, statement))
 
     def _alias_map(self, statement: ast.SelectStmt) -> dict:
         """Alias -> table, or -> element ObjectType for TABLE() items."""
@@ -339,13 +317,9 @@ class PlanBuilder:
 
     def _member_type(self, source, name: str):
         """Datatype of a column (table source) or attribute (object)."""
-        if isinstance(source, ObjectType):
-            attribute = source.attribute(name)
-            return attribute.datatype if attribute is not None else None
-        column = getattr(source, "column", None)
-        if column is None:
-            return None
-        found = column(name)
+        member = (source.attribute if isinstance(source, ObjectType)
+                  else getattr(source, "column", None))
+        found = member(name) if member is not None else None
         return found.datatype if found is not None else None
 
     def _element_type(self, expression: ast.Expr,
@@ -392,16 +366,16 @@ class PlanBuilder:
 
     # -- REF navigation ----------------------------------------------------------
 
-    def _deref_nodes(self, statement: ast.SelectStmt,
-                     alias_map: dict) -> list[_Node]:
-        nodes: list[_Node] = []
+    def _deref_nodes(self, statement: ast.SelectStmt) -> list[PlanStep]:
+        alias_map = self._alias_map(statement)
+        nodes: list[PlanStep] = []
         seen: set[str] = set()
 
         def note(path: str, target: str) -> None:
             if path not in seen:
                 seen.add(path)
-                nodes.append(_Node("REF DEREF", target=target,
-                                   detail=path))
+                nodes.append(PlanStep("REF DEREF", target=target,
+                                      detail=path))
 
         for expression in _items_and_where(statement):
             for node in ast.walk(expression, ast.SelectStmt):
@@ -434,103 +408,49 @@ class PlanBuilder:
                 return
             datatype = attribute.datatype
             prefix += f".{part}"
-        if isinstance(datatype, RefType):
-            # path ends on the REF column itself: no implicit deref
-            return
 
-    # -- DML ---------------------------------------------------------------------
+    # -- INSERT ------------------------------------------------------------------
 
-    def _insert_node(self, statement: ast.Insert) -> _Node:
+    def _insert_node(self, statement: ast.Insert) -> PlanStep:
         if statement.query is not None:
             select = self._select_node(statement.query)
-            root = _Node("INSERT STATEMENT", target=statement.table,
-                         rows=select.rows)
-            root.children.append(select)
-            return root
-        root = _Node("INSERT STATEMENT", target=statement.table,
-                     rows=1, exact=True)
+            return PlanStep("INSERT STATEMENT", target=statement.table,
+                            estimated_rows=select.estimated_rows,
+                            children=[select])
+        root = PlanStep("INSERT STATEMENT", target=statement.table,
+                        estimated_rows=1, exact=True)
         for value in statement.values:
             root.children.extend(self._value_nodes(value))
         return root
 
-    def _value_nodes(self, expression: ast.Expr) -> list[_Node]:
+    def _value_nodes(self, expression: ast.Expr) -> list[PlanStep]:
         """CONSTRUCT / REF LOOKUP steps inside an INSERT value tree."""
-        nodes: list[_Node] = []
         if isinstance(expression, ast.FunctionCall):
             key = identifiers.normalize(expression.name)
             if key in self.catalog.types:
-                node = _Node("CONSTRUCT", target=expression.name,
-                             detail=f"{len(expression.arguments)}"
-                                    f" argument(s)")
+                node = PlanStep("CONSTRUCT", target=expression.name,
+                                detail=f"{len(expression.arguments)}"
+                                       f" argument(s)")
                 for argument in expression.arguments:
                     node.children.extend(self._value_nodes(argument))
                 return [node]
         if isinstance(expression, ast.ScalarSubquery):
             select = self._select_node(expression.query)
-            node = _Node("REF LOOKUP", rows=1, exact=True)
-            node.children.extend(select.children)
-            return [node]
+            return [PlanStep("REF LOOKUP", estimated_rows=1, exact=True,
+                             children=select.children)]
+        nodes: list[PlanStep] = []
         for child in sub_expressions(expression):
             nodes.extend(self._value_nodes(child))
         return nodes
 
-    def _scan_filter(self, table_name: str,
-                     where: ast.Expr | None) -> _Node:
-        table = self.catalog.tables.get(
-            identifiers.normalize(table_name))
-        rows = len(table.data.rows) if table is not None else None
-        node = _Node("SCAN",
-                     target=(table.name if table is not None
-                             else table_name),
-                     rows=rows, exact=rows is not None,
-                     cost=(float(max(rows, 1)) if rows is not None
-                           else None))
-        if where is not None:
-            node = self._wrap_filter(node, where)
-        return node
-
-    def _dml_source(self, statement) -> _Node:
-        """Access path for UPDATE/DELETE row selection: the same
-        costed plan the executor's ``_dml_access`` runs, rendered as
-        a probe plus residual FILTERs, or the classic FILTER over
-        SCAN when nothing is probeable."""
-        table = self.catalog.tables.get(
-            identifiers.normalize(statement.table))
-        if table is None:
-            return self._scan_filter(statement.table, statement.where)
-        alias_key = identifiers.normalize(
-            getattr(statement, "alias", None) or statement.table)
-        plan = self.db._dml_access(table, alias_key, statement.where)
-        if plan is None or plan.probe is None:
-            node = self._scan_filter(statement.table, statement.where)
-            return node
-        node = self._probe_node(table, plan)
-        consumed = {id(conjunct)
-                    for conjunct in plan.probe.conjuncts}
-        for conjunct in ast.flatten(statement.where, "AND"):
-            if id(conjunct) not in consumed:
-                node = self._wrap_filter(node, conjunct)
-        return node
-
-    def _update_node(self, statement: ast.Update) -> _Node:
-        child = self._dml_source(statement)
-        root = _Node(
-            "UPDATE STATEMENT", target=statement.table,
-            detail="SET " + ", ".join(
-                target.source() for target, _ in statement.assignments),
-            rows=child.rows, exact=child.exact)
-        root.children.append(child)
-        return root
-
-    def _delete_node(self, statement: ast.Delete) -> _Node:
-        child = self._dml_source(statement)
-        root = _Node("DELETE STATEMENT", target=statement.table,
-                     rows=child.rows, exact=child.exact)
-        root.children.append(child)
-        return root
-
 
 # -- module helpers --------------------------------------------------------------
+
+
+def _wrap_filter(child: PlanStep, conjunct: ast.Expr) -> PlanStep:
+    return PlanStep("FILTER", detail=render_expr(conjunct),
+                    estimated_rows=_filtered(child.estimated_rows),
+                    children=[child])
 
 
 def _product(values) -> int | None:
@@ -542,64 +462,110 @@ def _product(values) -> int | None:
     return result
 
 
-def _contains_aggregate_item(item: ast.SelectItem) -> bool:
-    if isinstance(item.expression, ast.Star):
-        return False
-    return contains_aggregate(item.expression)
+#: how tightly each operator binds, loosest first (the parser's
+#: levels); comparisons, IS NULL, LIKE, BETWEEN and IN share level 4
+_BINDING = {"OR": 1, "AND": 2, "NOT": 3, "=": 4, "<>": 4, "<": 4,
+            ">": 4, "<=": 4, ">=": 4, "+": 5, "-": 5, "||": 5,
+            "*": 6, "/": 6}
+_PREDICATE, _SIGN, _PRIMARY = 4, 7, 8
+
+
+def _binding(expression: ast.Expr) -> int:
+    if isinstance(expression, ast.BinaryOp):
+        return _BINDING[expression.operator]
+    if isinstance(expression, ast.UnaryOp):
+        return _BINDING["NOT"] if expression.operator == "NOT" else _SIGN
+    if isinstance(expression, (ast.IsNull, ast.Like, ast.Between,
+                               ast.InList, ast.InSubquery)):
+        return _PREDICATE
+    return _PRIMARY
+
+
+def _operand(expression: ast.Expr, binding: int) -> str:
+    """*expression* rendered where it must bind at least *binding*
+    tightly: parenthesised when it binds more loosely."""
+    text = render_expr(expression)
+    return f"({text})" if _binding(expression) < binding else text
+
+
+def _comparand(expression: ast.Expr) -> str:
+    """An operand of a comparison, IS NULL, LIKE, BETWEEN or IN."""
+    return _operand(expression, _PREDICATE + 1)
+
+
+def _quote(text: str) -> str:
+    return "'" + text.replace("'", "''") + "'"
 
 
 def render_expr(expression: ast.Expr) -> str:
-    """Compact SQL-ish rendering of an expression for plan lines."""
+    """Compact SQL rendering of an expression for plan lines: it
+    parses back to the same expression, except that subqueries, CASE
+    and CAST bodies are elided."""
     if isinstance(expression, ast.Literal):
         if expression.value is None:
             return "NULL"
         if isinstance(expression.value, str):
-            return f"'{expression.value}'"
+            return _quote(expression.value)
         return str(expression.value)
     if isinstance(expression, ast.DateLiteral):
-        return f"DATE '{expression.text}'"
+        return f"DATE {_quote(expression.text)}"
     if isinstance(expression, ast.ColumnPath):
         return expression.source()
     if isinstance(expression, ast.Star):
         return (f"{expression.qualifier}.*"
                 if expression.qualifier else "*")
     if isinstance(expression, ast.AttributeAccess):
-        return f"{render_expr(expression.base)}.{expression.attribute}"
+        return (f"{_operand(expression.base, _PRIMARY)}"
+                f".{expression.attribute}")
     if isinstance(expression, ast.FunctionCall):
         arguments = ", ".join(render_expr(argument)
                               for argument in expression.arguments)
         distinct = "DISTINCT " if expression.distinct else ""
         return f"{expression.name}({distinct}{arguments})"
     if isinstance(expression, ast.BinaryOp):
-        return f" {expression.operator} ".join(
-            render_expr(operand) for operand
-            in ast.flatten(expression, expression.operator))
+        operator = expression.operator
+        binding = _BINDING[operator]
+        if operator == "AND" or operator == "OR":
+            return f" {operator} ".join(
+                _operand(operand, binding + 1) for operand
+                in ast.flatten(expression, operator))
+        # a left-deep run of one level (a - b + c) needs no
+        # parentheses; unroll it in a loop, so its length costs no
+        # Python stack.  Comparisons do not chain.
+        rights: list[str] = []
+        node = expression
+        while True:
+            rights.append(
+                f"{node.operator} {_operand(node.right, binding + 1)}")
+            node = node.left
+            if (binding == _PREDICATE or type(node) is not ast.BinaryOp
+                    or _BINDING[node.operator] != binding):
+                break
+        first = _operand(node, binding + 1 if binding == _PREDICATE
+                         else binding)
+        return " ".join([first, *reversed(rights)])
     if isinstance(expression, ast.UnaryOp):
-        return f"{expression.operator} {render_expr(expression.operand)}"
+        return (f"{expression.operator}"
+                f" {_operand(expression.operand, _binding(expression))}")
+    negated = "NOT " if getattr(expression, "negated", False) else ""
     if isinstance(expression, ast.IsNull):
-        negated = "NOT " if expression.negated else ""
-        return f"{render_expr(expression.operand)} IS {negated}NULL"
+        return f"{_comparand(expression.operand)} IS {negated}NULL"
     if isinstance(expression, ast.Like):
-        negated = "NOT " if expression.negated else ""
-        rendered = (f"{render_expr(expression.operand)} {negated}LIKE"
-                    f" {render_expr(expression.pattern)}")
+        rendered = (f"{_comparand(expression.operand)} {negated}LIKE"
+                    f" {_comparand(expression.pattern)}")
         if expression.escape is not None:
-            rendered += f" ESCAPE {render_expr(expression.escape)}"
+            rendered += f" ESCAPE {_comparand(expression.escape)}"
         return rendered
     if isinstance(expression, ast.Between):
-        negated = "NOT " if expression.negated else ""
-        return (f"{render_expr(expression.operand)} {negated}BETWEEN"
-                f" {render_expr(expression.low)} AND"
-                f" {render_expr(expression.high)}")
+        return (f"{_comparand(expression.operand)} {negated}BETWEEN"
+                f" {_comparand(expression.low)} AND"
+                f" {_comparand(expression.high)}")
     if isinstance(expression, ast.InList):
-        negated = "NOT " if expression.negated else ""
         items = ", ".join(render_expr(item)
                           for item in expression.items)
-        return f"{render_expr(expression.operand)} {negated}IN ({items})"
+        return f"{_comparand(expression.operand)} {negated}IN ({items})"
     if isinstance(expression, ast.InSubquery):
-        negated = "NOT " if expression.negated else ""
-        return (f"{render_expr(expression.operand)} {negated}IN"
-                f" (SELECT ...)")
+        return f"{_comparand(expression.operand)} {negated}IN (SELECT ...)"
     if isinstance(expression, ast.Exists):
         return "EXISTS (SELECT ...)"
     if isinstance(expression, ast.ScalarSubquery):

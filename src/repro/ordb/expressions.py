@@ -245,21 +245,31 @@ class Evaluator:
                     return decisive
                 unknown = unknown or value is None
             return None if unknown else not decisive
-        left = self.eval(expression.left, env)
-        right = self.eval(expression.right, env)
-        if operator == "||":
-            return _concat(left, right)
-        if operator in ("=", "<>", "<", ">", "<=", ">="):
-            return _compare(operator, left, right)
-        if left is None or right is None:
-            return None
-        if operator in ("+", "-", "*", "/"):
-            return _arithmetic(operator, left, right)
-        raise NotSupported(f"operator {operator!r}")  # pragma: no cover
+        left = expression.left
+        if type(left) is not ast.BinaryOp:
+            return _apply(operator, self.eval(left, env),
+                          self.eval(expression.right, env))
+        # a left-deep chain (a + b + c ...) folds left to right in a
+        # loop, so its length costs no Python stack
+        spine = [expression]
+        while (type(left) is ast.BinaryOp and left.operator != "AND"
+               and left.operator != "OR" and not self._known(left)):
+            spine.append(left)
+            left = left.left
+        value = self.eval(left, env)
+        for node in reversed(spine):
+            value = _apply(node.operator, value,
+                           self.eval(node.right, env))
+        return value
 
     def _operands(self, expression: ast.BinaryOp) -> list[ast.Expr]:
         """What an AND/OR evaluates, left to right: the whole chain."""
         return ast.flatten(expression, expression.operator)
+
+    def _known(self, expression: ast.Expr) -> bool:
+        """True when *expression* already has a value, so a chain walk
+        must stop there and ask :meth:`eval` for it."""
+        return False
 
     def _eval_UnaryOp(self, expression: ast.UnaryOp, env: Env) -> object:
         if expression.operator == "NOT":
@@ -572,6 +582,20 @@ class Evaluator:
 
 
 # -- scalar helpers -----------------------------------------------------------------
+
+
+def _apply(operator: str, left: object, right: object) -> object:
+    """The value of ``left <operator> right`` for a non-AND/OR
+    operator."""
+    if operator == "||":
+        return _concat(left, right)
+    if operator in ("=", "<>", "<", ">", "<=", ">="):
+        return _compare(operator, left, right)
+    if left is None or right is None:
+        return None
+    if operator in ("+", "-", "*", "/"):
+        return _arithmetic(operator, left, right)
+    raise NotSupported(f"operator {operator!r}")  # pragma: no cover
 
 
 def _concat(left: object, right: object) -> str:

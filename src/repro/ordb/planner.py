@@ -1,15 +1,20 @@
-"""Cost-based access-path planning: scan vs probe, conjunct order.
+"""The one planning pass: where each WHERE conjunct runs, and how
+each FROM level reads its rows.
 
-The seed engine hardwired one strategy — probe when an equality
-conjunct matches an index, otherwise scan.  This module replaces that
-with a small System-R-style cost pass shared by the executor and by
-``EXPLAIN`` (so the rendered plan is exactly what runs):
+:func:`plan_select` is the only place these choices are made.  It
+returns a plain :class:`SelectPlan` that the executor runs
+(``Database._enumerate_rows`` for SELECT, ``_update`` / ``_delete``
+for DML) and that ``EXPLAIN`` (:mod:`repro.ordb.explain`) renders, so
+the printed plan is the plan that runs.  A plan is built once per
+execution and never cached, so its choices follow live row counts.
 
+* conjuncts are pushed down to the earliest FROM level that binds
+  every alias they name; the rest stay residual;
 * :func:`plan_access` prices a full scan against every available
-  equality probe (:func:`~.indexes.find_probe`) and range probe
-  (:func:`~.indexes.find_range_probe`) for one FROM-level and picks
-  the cheapest, returning an :class:`AccessPlan`;
-* pushed WHERE conjuncts are reordered most-selective-first, with
+  equality probe (:func:`~.indexes.find_probe`), range probe
+  (:func:`~.indexes.find_range_probe`) and content probe for one
+  FROM level and picks the cheapest, returning an :class:`AccessPlan`;
+* pushed conjuncts are reordered most-selective-first, with
   REF-dereferencing predicates pushed last (a dereference is a hidden
   join — the paper's Section 5 point about navigation cost);
 * :func:`compute_table_stats` is the ``ANALYZE TABLE`` collector: row
@@ -28,10 +33,12 @@ default selectivities (eq 1/10, range 1/4, LIKE 1/4, other 1/3).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from decimal import Decimal
 
 from . import identifiers
 from .datatypes import RefType
+from .expressions import AGGREGATE_FUNCTIONS
 from .indexes import (
     _NULL,
     ProbeSpec,
@@ -55,36 +62,135 @@ _RANK = {"eq": 0, "range": 1, "like": 2, "other": 3}
 _DEREF_PENALTY = 10
 
 
+@dataclass(slots=True)
 class AccessPlan:
     """The costed access path for one FROM-level of a query.
 
-    ``probe`` is the chosen index probe (:class:`~.indexes.ProbeSpec`
-    or :class:`~.indexes.RangeProbeSpec`) or None for a full scan;
-    ``filters`` is *all* pushed conjuncts in evaluation order;
-    ``sargable`` records that some probe was available (so a scan
-    execution counts as a planner fallback)."""
+    ``probe`` is the chosen index probe (:class:`~.indexes.ProbeSpec`,
+    :class:`~.indexes.RangeProbeSpec` or a content-index probe) or
+    None for a full scan; ``sargable`` records that some probe was
+    available (so a scan execution counts as a planner fallback)."""
 
-    __slots__ = ("probe", "filters", "cost", "est_rows", "scan_rows",
-                 "sargable")
+    probe: object
+    cost: float
+    est_rows: int
+    sargable: bool
 
-    def __init__(self, probe, filters: list[ast.Expr], cost: float,
-                 est_rows: int, scan_rows: int, sargable: bool):
-        self.probe = probe
-        self.filters = filters
-        self.cost = cost
-        self.est_rows = est_rows
-        self.scan_rows = scan_rows
-        self.sargable = sargable
+
+@dataclass(slots=True)
+class LevelPlan:
+    """One FROM level: the item, its :class:`AccessPlan` (None for
+    views, subqueries, ``TABLE()`` and unknown names, which read their
+    own rows) and the conjuncts that run as soon as the level's row
+    is bound, in evaluation order."""
+
+    item: ast.FromItem
+    access: AccessPlan | None
+    filters: list[ast.Expr]
+
+
+@dataclass(slots=True)
+class SelectPlan:
+    """The plan of one SELECT, UPDATE or DELETE: one
+    :class:`LevelPlan` per FROM level, then the ``residual``
+    conjuncts, which run once the whole row is assembled."""
+
+    levels: list[LevelPlan]
+    residual: list[ast.Expr]
+
+
+def plan_select(catalog, statement: ast.SelectStmt | ast.Update
+                | ast.Delete, enable_indexes: bool) -> SelectPlan:
+    """Decide where each WHERE conjunct runs and how each FROM level
+    reads its rows.  Pure: reads the catalog, never row data.
+
+    WHERE splits into AND-conjuncts, and each is pushed down to the
+    earliest level where all of its alias references are bound.  Only
+    conjuncts that reference nothing but explicit FROM aliases (and
+    hold no subquery or aggregate) are pushed; the rest are residual,
+    preserving SQL semantics for correlation and ambiguity checking.
+    A plain table level is costed by :func:`plan_access`, and its
+    pushed conjuncts run in :func:`order_conjuncts` order.
+
+    UPDATE and DELETE are the one-level case: their table's access
+    path is chosen from the pushed conjuncts in the same way, and each
+    candidate row is checked against the whole WHERE, as written.
+    """
+    if isinstance(statement, ast.SelectStmt):
+        items = statement.from_items
+    else:
+        items = (ast.TableRef(statement.table, statement.alias),)
+    where = statement.where
+    pushed: list[list[ast.Expr]] = [[] for _ in items]
+    residual: list[ast.Expr] = []
+    if where is not None:
+        alias_level: dict[str, int] = {}
+        for index, item in enumerate(items):
+            name = getattr(item, "alias", None) or getattr(
+                item, "name", None)
+            if name:
+                alias_level[identifiers.normalize(name)] = index
+        for conjunct in ast.flatten(where, "AND"):
+            heads: set[str] = set()
+            if (_analyze_references(conjunct, heads) and heads
+                    and all(head in alias_level for head in heads)):
+                pushed[max(alias_level[head]
+                           for head in heads)].append(conjunct)
+            else:
+                residual.append(conjunct)
+    levels = []
+    for item, conjuncts in zip(items, pushed):
+        table = None
+        if isinstance(item, ast.TableRef):
+            key = identifiers.normalize(item.name)
+            if key not in catalog.views:
+                # None for an unknown name: the executor raises
+                table = catalog.tables.get(key)
+        if table is None:
+            levels.append(LevelPlan(item, None, conjuncts))
+            continue
+        alias_key = identifiers.normalize(item.alias or item.name)
+        levels.append(LevelPlan(
+            item, plan_access(table, alias_key, conjuncts,
+                              allow_probes=enable_indexes),
+            order_conjuncts(table, alias_key, conjuncts)))
+    if not isinstance(statement, ast.SelectStmt):
+        levels[0].filters = [where] if where is not None else []
+        residual = []
+    return SelectPlan(levels, residual)
+
+
+#: what a pushable conjunct may be built from besides qualified
+#: column paths (subqueries, EXISTS, CAST, stars, unqualified names
+#: and aggregate calls are not pushable)
+_PUSHDOWN_TRANSPARENT = (
+    ast.Literal, ast.DateLiteral, ast.BinaryOp, ast.UnaryOp, ast.IsNull,
+    ast.Like, ast.Between, ast.InList, ast.AttributeAccess,
+    ast.FunctionCall, ast.CaseWhen)
+
+
+def _analyze_references(expression: ast.Expr,
+                        heads: set[str]) -> bool:
+    """Collect qualified-path heads; False when the conjunct is not
+    safe to push down (subqueries, unqualified columns, stars)."""
+    for node in ast.walk(expression):
+        if isinstance(node, ast.ColumnPath):
+            if len(node.parts) < 2:
+                return False  # unqualified name: resolve with full row
+            heads.add(identifiers.normalize(node.parts[0]))
+        elif not isinstance(node, _PUSHDOWN_TRANSPARENT) or (
+                isinstance(node, ast.FunctionCall)
+                and node.name.upper() in AGGREGATE_FUNCTIONS):
+            return False
+    return True
 
 
 def plan_access(table: Table, alias_key: str,
                 pushed: list[ast.Expr],
                 allow_probes: bool = True) -> AccessPlan:
     """Pick the cheapest access path for *table* given the *pushed*
-    conjuncts.  Pure: never mutates the table or its stats (EXPLAIN
-    calls it on a live database)."""
+    conjuncts.  Pure: never mutates the table or its stats."""
     row_count = len(table.data.rows)
-    filters = order_conjuncts(table, alias_key, pushed)
     selectivity = 1.0
     for conjunct in pushed:
         selectivity *= _conjunct_selectivity(conjunct, alias_key, table)
@@ -120,8 +226,8 @@ def plan_access(table: Table, alias_key: str,
         if cost < best_cost or (best_probe is None
                                 and cost <= best_cost):
             best_cost, best_est, best_probe = cost, est, probe
-    return AccessPlan(best_probe, filters, best_cost, best_est,
-                      scan_rows, sargable=bool(candidates))
+    return AccessPlan(best_probe, best_cost, best_est,
+                      sargable=bool(candidates))
 
 
 def order_conjuncts(table: Table, alias_key: str,

@@ -252,6 +252,9 @@ class _Substituting(Evaluator):
         # level goes through eval() and its values lookup
         return [expression.left, expression.right]
 
+    def _known(self, expression: ast.Expr) -> bool:
+        return expression in self.values
+
 
 def _row_parts(expression: ast.Expr, out: list[ast.Expr]) -> None:
     """Collect into *out* the maximal aggregate-free sub-expressions

@@ -646,6 +646,8 @@ class ShardedSession:
         self.closed = False
         self._statement_timeout: float | None = None
         self._subs: dict[int, Session] = {}
+        #: the subs in the open transaction (a sub joins on first use)
+        self._joined: dict[int, Session] = {}
         self._topology_version = router._topology_version
         self._txn = False
         self._txn_executed = False
@@ -689,17 +691,19 @@ class ShardedSession:
             sub = self.router.shards[index].session(
                 name=f"{self.name}@s{index}")
             sub.statement_timeout = self._statement_timeout
-            if self._txn:
-                # late shards join the open transaction mid-flight:
-                # replay BEGIN, SET TRANSACTION and every savepoint
-                sub.begin()
-                if self._set_txn is not None:
-                    read_only, isolation = self._set_txn
-                    sub.set_transaction(read_only=read_only,
-                                        isolation=isolation)
-                for sp_name, _mark in self._savepoints:
-                    sub.savepoint(sp_name)
             self._subs[index] = sub
+        if self._txn and index not in self._joined:
+            # a shard joins the open transaction when first used:
+            # replay BEGIN, SET TRANSACTION and every savepoint, so
+            # commit touches only the shards the transaction did
+            sub.begin()
+            if self._set_txn is not None:
+                read_only, isolation = self._set_txn
+                sub.set_transaction(read_only=read_only,
+                                    isolation=isolation)
+            for sp_name, _mark in self._savepoints:
+                sub.savepoint(sp_name)
+            self._joined[index] = sub
         return sub
 
     def _dispatch(self, index: int,
@@ -865,8 +869,7 @@ class ShardedSession:
         self._set_txn = None
         self._savepoints = []
         self._journal_buf = []
-        for sub in self._subs.values():
-            sub.begin()
+        self._joined = {}
 
     def commit(self) -> None:
         if not self._txn:
@@ -874,7 +877,7 @@ class ShardedSession:
                 sub.commit()  # no-op commits still release locks
             return
         failure: BaseException | None = None
-        for _index, sub in sorted(self._subs.items()):
+        for _index, sub in sorted(self._joined.items()):
             if failure is None:
                 try:
                     sub.commit()
@@ -904,7 +907,7 @@ class ShardedSession:
                 sub.rollback()
             return
         if to is None:
-            for sub in self._subs.values():
+            for sub in self._joined.values():
                 sub.rollback()
             self._txn = False
             self._set_txn = None
@@ -916,7 +919,7 @@ class ShardedSession:
         if not marks:
             raise NoSuchSavepoint(
                 f"savepoint '{to}' never established")
-        for sub in self._subs.values():
+        for sub in self._joined.values():
             sub.rollback(to=to)
         kept = marks[-1]
         del self._journal_buf[self._savepoints[kept][1]:]
@@ -925,7 +928,7 @@ class ShardedSession:
     def savepoint(self, name: str) -> None:
         if not self._txn:
             self.begin()
-        for sub in self._subs.values():
+        for sub in self._joined.values():
             sub.savepoint(name)
         self._savepoints.append((name, len(self._journal_buf)))
 
@@ -941,7 +944,7 @@ class ShardedSession:
         self._set_txn = (
             read_only if read_only is not None else previous[0],
             isolation if isolation is not None else previous[1])
-        for sub in self._subs.values():
+        for sub in self._joined.values():
             sub.set_transaction(read_only=read_only,
                                 isolation=isolation)
 

@@ -25,6 +25,9 @@ PREDEFINED_ENTITIES: dict[str, str] = {
 #: Maximum cumulative expansion size; guards against billion-laughs input.
 MAX_EXPANSION_SIZE = 8 * 1024 * 1024
 
+#: How deep entity references may nest inside replacement texts.
+MAX_ENTITY_NESTING = 64
+
 
 class EntityDefinition:
     """One ``<!ENTITY ...>`` declaration."""
@@ -128,6 +131,10 @@ class _Expansion:
         if name in stack:
             chain = " -> ".join(stack + (name,))
             raise EntityError(f"recursive entity reference: {chain}")
+        if len(stack) >= MAX_ENTITY_NESTING:
+            raise EntityError(
+                f"entity references nest deeper than"
+                f" {MAX_ENTITY_NESTING} levels (at '&{name};')")
         definition = self.table.general.get(name)
         if definition is None:
             raise EntityError(f"undefined entity '&{name};'")

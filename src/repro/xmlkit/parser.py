@@ -72,9 +72,6 @@ _CHAR_DATA = re.compile(r"[^<&\]]+")
 #: Where the raw internal subset scan must look closer.
 _SUBSET_STOP = re.compile(r"""[\]'"]|<!--""")
 
-#: Hard cap on entity-driven re-parsing depth.
-_MAX_ENTITY_DEPTH = 32
-
 #: How deep elements may nest (the root element is level 1).  A deeper
 #: document is an XMLSyntaxError: the DOM and everything that maps or
 #: serializes it recurse once per level.
@@ -138,11 +135,14 @@ class XMLParser:
         return document
 
     def parse_fragment(self, text: str,
-                       entities: EntityTable | None = None) -> list:
+                       entities: EntityTable | None = None,
+                       depth: int = 0) -> list:
         """Parse mixed content (no prolog) into a list of nodes.
 
         Used for expanding entity replacement text that contains markup
-        and by tests that build partial trees.
+        and by tests that build partial trees.  *depth* is the element
+        depth the fragment lands at, so markup an entity brings in
+        counts towards :data:`MAX_ELEMENT_DEPTH` where it is used.
         """
         entities = entities or EntityTable()
         if entities is not self._entities:
@@ -150,7 +150,8 @@ class XMLParser:
             self._entity_memo = {}
         scanner = Scanner(text)
         holder = Element("#fragment")
-        self._parse_content_into(scanner, holder, end_tag=None, depth=0)
+        self._parse_content_into(scanner, holder, end_tag=None,
+                                 depth=depth)
         nodes = list(holder.children)
         for node in nodes:
             node.parent = None
@@ -447,12 +448,11 @@ class XMLParser:
             parent.append(EntityReference(name, expansion))
             return
         if "<" in expansion:
-            if depth >= _MAX_ENTITY_DEPTH:
-                scanner.error(f"entity &{name}; nests too deeply")
             if text_buffer:
                 parent.append(Text("".join(text_buffer)))
                 text_buffer.clear()
-            for node in self.parse_fragment(expansion, self._entities):
+            for node in self.parse_fragment(expansion, self._entities,
+                                            depth):
                 parent.append(node)
         else:
             text_buffer.append(expansion)

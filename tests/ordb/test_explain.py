@@ -196,6 +196,113 @@ class TestExplainGolden:
             " 2      SCAN TabProf  rows=2  cost=2",
         ])
 
+    def test_view_level(self, university):
+        """A conjunct on a view's columns filters the VIEW step; the
+        view's own plan renders below it, and a view level leaves
+        the statement without a total cost."""
+        university.execute(
+            "CREATE VIEW CadProfs AS SELECT p.PName, p.Subject"
+            " FROM TabProf p WHERE p.Subject = 'CAD'")
+        plan = university.explain(
+            "SELECT v.PName, s.LName FROM CadProfs v, TabStudent s"
+            " WHERE v.PName = 'Jaeger' AND s.StudNr = 1")
+        assert plan.render() == "\n".join([
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]  ~rows=1",
+            " 1    PROJECT [v.PName, s.LName]  ~rows=1",
+            " 2      NESTED-LOOP JOIN  ~rows=1",
+            " 3        FILTER [v.PName = 'Jaeger']  ~rows=1",
+            " 4          VIEW CadProfs  ~rows=1",
+            " 5            PROJECT [p.PName, p.Subject]  ~rows=1",
+            " 6              FILTER [p.Subject = 'CAD']  ~rows=1",
+            " 7                SCAN TabProf  rows=2  cost=2",
+            " 8        INDEX UNIQUE LOOKUP TabStudent"
+            " [TABSTUDENT_PK: s.StudNr = 1]  ~rows=1  cost=2",
+        ])
+
+    def test_from_subquery(self, university):
+        plan = university.explain(
+            "SELECT q.LName FROM (SELECT s.LName, s.StudNr"
+            " FROM TabStudent s WHERE s.StudNr > 0) q"
+            " WHERE q.StudNr = 1")
+        assert plan.render() == "\n".join([
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]  ~rows=1",
+            " 1    PROJECT [q.LName]  ~rows=1",
+            " 2      FILTER [q.StudNr = 1]  ~rows=1",
+            " 3        SUBQUERY q  ~rows=1",
+            " 4          PROJECT [s.LName, s.StudNr]  ~rows=1",
+            " 5            FILTER [s.StudNr > 0]  ~rows=1",
+            " 6              SCAN TabStudent  rows=2  cost=2",
+        ])
+
+    def test_dml_two_conjuncts_probed(self, university):
+        """The probe absorbs its conjunct; the rest of the WHERE
+        filters the probed rows, in the order it was written."""
+        update = university.explain(
+            "UPDATE TabStudent s SET LName = 'Konrad'"
+            " WHERE s.LName = 'Conrad' AND s.StudNr = 1")
+        assert update.render() == "\n".join([
+            " 0  UPDATE STATEMENT TabStudent [SET LName]  ~rows=1",
+            " 1    FILTER [s.LName = 'Conrad']  ~rows=1",
+            " 2      INDEX UNIQUE LOOKUP TabStudent"
+            " [TABSTUDENT_PK: s.StudNr = 1]  ~rows=1  cost=2",
+        ])
+        delete = university.explain(
+            "DELETE FROM TabStudent s WHERE s.LName LIKE 'M%'"
+            " AND s.StudNr = 2 AND s.StudNr < 5")
+        assert delete.render() == "\n".join([
+            " 0  DELETE STATEMENT TabStudent  ~rows=1",
+            " 1    FILTER [s.StudNr < 5]  ~rows=1",
+            " 2      FILTER [s.LName LIKE 'M%']  ~rows=1",
+            " 3        INDEX UNIQUE LOOKUP TabStudent"
+            " [TABSTUDENT_PK: s.StudNr = 2]  ~rows=1  cost=2",
+        ])
+
+    def test_dml_two_conjuncts_scanned(self, university):
+        """Without a probe, the whole WHERE filters the scan."""
+        update = university.explain(
+            "UPDATE TabStudent s SET LName = 'Konrad'"
+            " WHERE s.LName = 'Conrad' AND s.StudNr > 0")
+        assert update.render() == "\n".join([
+            " 0  UPDATE STATEMENT TabStudent [SET LName]  ~rows=1",
+            " 1    FILTER [s.LName = 'Conrad' AND s.StudNr > 0]"
+            "  ~rows=1",
+            " 2      SCAN TabStudent  rows=2  cost=2",
+        ])
+        university.enable_indexes = False
+        delete = university.explain(
+            "DELETE FROM TabStudent s"
+            " WHERE s.StudNr = 2 AND s.LName LIKE 'M%'")
+        assert delete.render() == "\n".join([
+            " 0  DELETE STATEMENT TabStudent  ~rows=1",
+            " 1    FILTER [s.StudNr = 2 AND s.LName LIKE 'M%']  ~rows=1",
+            " 2      SCAN TabStudent  rows=2  cost=2",
+        ])
+
+    @pytest.mark.parametrize("sql, lines", [
+        ("SELECT t.a FROM t WHERE t.a * (t.a + 1) = 2", [
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]"
+            "  ~rows=1  cost=1",
+            " 1    PROJECT [t.a]  ~rows=1",
+            " 2      FILTER [t.a * (t.a + 1) = 2]  ~rows=1",
+            " 3        SCAN t  rows=1  cost=1"]),
+        ("SELECT t.a - (t.a - 1) FROM t", [
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]"
+            "  rows=1  cost=1",
+            " 1    PROJECT [t.a - (t.a - 1)]  rows=1",
+            " 2      SCAN t  rows=1  cost=1"]),
+        ("SELECT t.a FROM t WHERE t.s = 'O''Brien'", [
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]"
+            "  ~rows=1  cost=1",
+            " 1    PROJECT [t.a]  ~rows=1",
+            " 2      FILTER [t.s = 'O''Brien']  ~rows=1",
+            " 3        SCAN t  rows=1  cost=1"]),
+    ])
+    def test_expressions_print_as_they_run(self, db, sql, lines):
+        """Parentheses an operand needs, and doubled quotes."""
+        db.execute("CREATE TABLE t(a NUMBER, s VARCHAR2(20))")
+        db.execute("INSERT INTO t VALUES (1, 'O''Brien')")
+        assert db.explain(sql).render() == "\n".join(lines)
+
     def test_ref_path_left_of_in_subquery(self, university):
         """The operand of ``IN (SELECT ...)`` is searched like any
         other operand: its REF dereference is a plan step, and the

@@ -1,8 +1,9 @@
-"""10 000-term AND / OR chains and IN lists: right rows, no
-RecursionError, on one engine and behind a 4-shard router.
+"""10 000-term AND / OR chains, IN lists and arithmetic chains:
+right rows and values, no RecursionError, on one engine and behind a
+sharded router.
 
 The parser builds a left-deep BinaryOp per chain; conjunct splitting,
-AND/OR evaluation and EXPLAIN's rendering unroll it in a loop.
+evaluation and EXPLAIN's rendering unroll it in a loop.
 """
 
 from __future__ import annotations
@@ -74,3 +75,51 @@ def test_explain_renders_the_whole_chain(db):
     condition, _selected = CONDITIONS["or"]
     plan = db.execute(f"EXPLAIN SELECT t.a FROM t WHERE {condition}")
     assert any(condition in str(cell) for row in plan.rows for cell in row)
+
+
+@pytest.fixture(params=[1, 2], ids=["engine", "2-shards"])
+def numbers(request):
+    db = (Database() if request.param == 1
+          else ShardedDatabase(n_shards=request.param))
+    db.execute("CREATE TABLE n (a NUMBER, b NUMBER, c NUMBER, d NUMBER,"
+               " g NUMBER, s VARCHAR2(5))")
+    db.execute("INSERT INTO n VALUES (10, 4, 1, 3, 1, 'x')")
+    db.execute("INSERT INTO n VALUES (20, 4, 1, 3, 2, 'y')")
+    db.execute("INSERT INTO n VALUES (30, 4, 1, 3, 2, 'z')")
+    return db
+
+
+def test_arithmetic_and_concatenation_chains(numbers):
+    total = " + ".join(["n.a"] * TERMS)
+    text = " || ".join(["n.s"] * TERMS)
+    rows = numbers.execute(
+        f"SELECT {total}, {text} FROM n WHERE n.a = 10").rows
+    assert rows == [(10 * TERMS, "x" * TERMS)]
+
+
+@pytest.mark.parametrize("expression, value", [
+    ("n.a - (n.b - n.c)", 7),
+    ("n.a - n.b - n.c", 5),
+    ("n.a + n.b * n.c - n.d", 11),
+    ("(n.a + n.b) * n.c - n.d", 11),
+    ("n.a / (n.b - n.c - n.c)", 5),
+])
+def test_chains_keep_their_grouping(numbers, expression, value):
+    rows = numbers.execute(
+        f"SELECT {expression} FROM n WHERE n.a = 10").rows
+    assert rows == [(value,)]
+
+
+def test_chains_over_a_group_read_the_group_values(numbers):
+    """``n.g + n.g`` is evaluated on the group's row; the chain above
+    it adds the aggregate without reading the row again."""
+    rows = numbers.execute(
+        "SELECT COUNT(*), n.g * 2 + n.g + COUNT(*) FROM n GROUP BY n.g"
+        " HAVING n.g + n.g + COUNT(*) > 3").rows
+    assert rows == [(2, 8)]
+
+
+def test_explain_renders_an_arithmetic_chain(numbers):
+    total = " + ".join(["n.a"] * TERMS)
+    plan = numbers.execute(f"EXPLAIN SELECT {total} FROM n")
+    assert any(total in str(cell) for row in plan.rows for cell in row)

@@ -196,6 +196,36 @@ def test_transactions_match_single_engine(n):
     assert_equivalent(single, sharded)
 
 
+def test_transaction_commits_only_the_shards_it_touched():
+    """A session that has touched every shard still commits one
+    shard per shard a later transaction touches: idle shards join a
+    transaction on first use, not at BEGIN."""
+    _, sharded = make_pair(4)
+    session = sharded.session(name="txn")
+    session.execute("BEGIN")
+    session.execute("UPDATE t SET b = b WHERE t.a < 0")  # every shard
+    session.execute("COMMIT")
+    assert len(session._subs) == 4
+    before = sharded.stats["commits"]
+    with session.transaction():
+        session.execute("INSERT INTO t VALUES(600, 1, 'one', 'g0')")
+    assert sharded.stats["commits"] - before == 1
+    # a shard that joins after a savepoint replays it
+    before = sharded.stats["commits"]
+    with sharded.pin_document(7):
+        session.execute("BEGIN")
+        session.execute("SAVEPOINT sp")
+        session.execute("INSERT INTO t VALUES(601, 1, 'two', 'g0')")
+        session.execute("ROLLBACK TO SAVEPOINT sp")
+        session.execute("INSERT INTO t VALUES(602, 1, 'three', 'g0')")
+        session.execute("COMMIT")
+    assert sharded.stats["commits"] - before == 1
+    assert sharded.execute(
+        "SELECT t.a FROM t WHERE t.a >= 600 ORDER BY a").rows \
+        == [(600,), (602,)]
+    session.close()
+
+
 @pytest.mark.parametrize("n", (2, 4))
 def test_concurrent_writers_match_serial_single_engine(n):
     """W writers insert disjoint keys through their own sessions; the

@@ -412,15 +412,25 @@ class TestPlansAndExplain:
         rendered = plan_text(
             docs, "SELECT d.id FROM docs d"
                   " WHERE d.body LIKE '%lazy%'")
-        assert "TRIGRAM INDEX SCAN" in rendered
-        assert "cost=" in rendered
+        assert rendered == "\n".join([
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]"
+            "  ~rows=2  cost=3",
+            " 1    PROJECT [d.id]  ~rows=2",
+            " 2      TRIGRAM INDEX SCAN docs"
+            " [DOCS_TG: d.body LIKE '%lazy%']  ~rows=2  cost=3",
+        ])
 
     def test_explain_renders_fulltext_scan_with_cost(self, docs):
         rendered = plan_text(
             docs, "SELECT d.id FROM docs d"
                   " WHERE CONTAINS(d.body, 'quick')")
-        assert "FULLTEXT INDEX SCAN" in rendered
-        assert "cost=" in rendered
+        assert rendered == "\n".join([
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]"
+            "  ~rows=3  cost=4",
+            " 1    PROJECT [d.id]  ~rows=3",
+            " 2      FULLTEXT INDEX SCAN docs"
+            " [DOCS_FT: CONTAINS(d.body, 'quick')]  ~rows=3  cost=4",
+        ])
 
     def test_explain_renders_vector_distance_cost(self, docs):
         docs.execute("CREATE TABLE v(id NUMBER, emb VECTOR(2))")
@@ -439,7 +449,13 @@ class TestPlansAndExplain:
         db.execute("CREATE INDEX t_ft ON t (a) USING FULLTEXT")
         rendered = plan_text(
             db, "SELECT t.a FROM t WHERE CONTAINS(t.a, 'common')")
-        assert "FULLTEXT INDEX SCAN" in rendered
+        assert rendered == "\n".join([
+            " 0  SELECT STATEMENT [SNAPSHOT READ @latest]"
+            "  ~rows=8  cost=8",
+            " 1    PROJECT [t.a]  ~rows=8",
+            " 2      FULLTEXT INDEX SCAN t"
+            " [T_FT: CONTAINS(t.a, 'common')]  ~rows=8  cost=8",
+        ])
 
 
 class TestContentSearchWorkAtScale:

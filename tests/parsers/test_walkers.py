@@ -19,6 +19,7 @@ are spelled out here:
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from collections import Counter
 from types import SimpleNamespace
@@ -28,7 +29,7 @@ from hypothesis import HealthCheck, given, seed, settings, strategies as st
 
 from repro.core import XML2Oracle
 from repro.ordb.datatypes import RefType
-from repro.ordb.engine import _analyze_references, _collect_table_refs
+from repro.ordb.engine import _collect_table_refs
 from repro.ordb.explain import render_expr, uses_dot_navigation
 from repro.ordb.expressions import (
     EMPTY_ENV,
@@ -38,7 +39,7 @@ from repro.ordb.expressions import (
     sub_expressions,
 )
 from repro.ordb.indexes import _mentions_alias
-from repro.ordb.planner import _dereferences_ref
+from repro.ordb.planner import _analyze_references, _dereferences_ref
 from repro.ordb.sharding import _has_subquery
 from repro.ordb.sql import ast
 from repro.ordb.sql.lexer import split_statements
@@ -93,7 +94,35 @@ def _check_expression(expression: ast.Expr) -> None:
             ref._dereferences_ref(expression, alias, _TABLE)
     assert ast.flatten(expression, "AND") == \
         ref._split_conjuncts(expression)
-    assert render_expr(expression) == ref.render_expr(expression)
+    # the frozen renderer drops needed parentheses and never doubles
+    # quotes; those two fixes aside, the renderers agree
+    assert _unparenthesised(render_expr(expression)) == \
+        _unparenthesised(ref.render_expr(_quotes_doubled(expression)))
+
+
+def _unparenthesised(rendered: str) -> str:
+    return rendered.replace("(", "").replace(")", "")
+
+
+def _rebuilt(node, rewrite):
+    """*node* with *rewrite* applied to every node below it first."""
+    if type(node) is tuple:
+        return tuple(_rebuilt(child, rewrite) for child in node)
+    names = ast.CHILD_FIELDS.get(type(node))
+    if names:
+        node = dataclasses.replace(node, **{
+            name: _rebuilt(getattr(node, name), rewrite)
+            for name in names})
+    return rewrite(node)
+
+
+def _quotes_doubled(node):
+    """*node* with the quotes in its string literals doubled."""
+    def double(node):
+        if isinstance(node, ast.Literal) and isinstance(node.value, str):
+            return ast.Literal(node.value.replace("'", "''"))
+        return node
+    return _rebuilt(node, double)
 
 
 def _dot_navigation_with_coverage_fixes(statement: ast.SelectStmt
@@ -348,6 +377,73 @@ _CORNERS = [
 @pytest.mark.parametrize("sql", _CORNERS + _loader_statements())
 def test_walkers_agree_on_statements(sql):
     _check_tree(parse_statement(sql))
+
+
+# -- EXPLAIN's expression text parses back ------------------------------------------------
+
+_spelled_leaves = st.one_of(
+    st.builds(ast.Literal, st.none() | st.integers(0, 99)
+              | st.text("a'b", max_size=3)),
+    st.builds(ast.DateLiteral, st.just("2001-02-03")),
+    st.builds(ast.ColumnPath, _tuples(st.sampled_from(["t", "a"]), 2, 3)),
+)
+
+
+def _spelled_composites(e):
+    """Every expression node ``render_expr`` spells out in full."""
+    return st.one_of(
+        st.builds(ast.BinaryOp, st.sampled_from(
+            ["OR", "AND", "=", "<>", "<", "<=", ">", ">=", "+", "-",
+             "||", "*", "/"]), e, e),
+        st.builds(ast.UnaryOp, st.sampled_from(["NOT", "-"]), e),
+        st.builds(ast.IsNull, e, st.booleans()),
+        st.builds(ast.Like, e, e, st.booleans(), st.none() | e),
+        st.builds(ast.Between, e, e, e, st.booleans()),
+        st.builds(ast.InList, e, _tuples(e, 1), st.booleans()),
+        st.builds(ast.FunctionCall, st.just("ABS"), _tuples(e, 1, 2),
+                  st.just(False)),
+    )
+
+
+def _left_leaning(node):
+    """*node* grouped as the parser groups its rendering: each AND/OR
+    chain leans left."""
+    def lean(node):
+        if isinstance(node, ast.BinaryOp) and node.operator in ("AND",
+                                                                "OR"):
+            operator = node.operator
+            operands = ast.flatten(node, operator)
+            node = operands[0]
+            for operand in operands[1:]:
+                node = ast.BinaryOp(operator, node, operand)
+        return node
+    return _rebuilt(node, lean)
+
+
+@seed(SEED)
+@_SETTINGS
+@given(st.recursive(_spelled_leaves, _spelled_composites, max_leaves=12))
+def test_rendered_expressions_parse_back(expression):
+    """Parentheses where an operand binds more loosely than its place
+    needs, doubled quotes in string literals: the text says exactly
+    what the tree says (AND/OR chains print flat, and re-parse
+    leaning left)."""
+    rendered = render_expr(expression)
+    parsed = parse_statement(f"SELECT {rendered} FROM t").items[0]
+    assert parsed.expression == _left_leaning(expression), rendered
+
+
+@pytest.mark.parametrize("sql, rendered", [
+    ("t.a * (t.a + 1) = 2", "t.a * (t.a + 1) = 2"),
+    ("t.a - (t.a - 1)", "t.a - (t.a - 1)"),
+    ("'O''Brien'", "'O''Brien'"),
+    ("NOT (t.a = 1 OR t.b = 2) AND (t.c OR t.d)",
+     "NOT (t.a = 1 OR t.b = 2) AND (t.c OR t.d)"),
+    ("(((t.a - t.b) - t.c))", "t.a - t.b - t.c"),
+])
+def test_rendered_expression_goldens(sql, rendered):
+    statement = parse_statement(f"SELECT {sql} FROM t")
+    assert render_expr(statement.items[0].expression) == rendered
 
 
 # -- AND / OR evaluation ------------------------------------------------------------------------

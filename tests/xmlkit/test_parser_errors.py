@@ -72,6 +72,38 @@ def test_recursive_entities_rejected():
     assert "recursive" in str(info.value)
 
 
+def test_entity_markup_deep_in_the_document_expands():
+    """Only element depth limits where an entity's markup may land."""
+    source = ('<!DOCTYPE a [<!ENTITY e "<b/>">]>'
+              + "<a>" * 40 + "&e;" + "</a>" * 40)
+    element = parse(source).root_element
+    for _ in range(40):
+        element = element.children[0]
+    assert element.tag == "b"
+
+
+def test_entity_markup_counts_towards_element_depth():
+    """250 nested elements from an entity used 20 levels deep make a
+    270-deep tree: refused like any document past the limit."""
+    markup = "<b>" * 250 + "</b>" * 250
+    source = (f'<!DOCTYPE a [<!ENTITY e "{markup}">]>'
+              + "<a>" * 20 + "&e;" + "</a>" * 20)
+    with pytest.raises(XMLSyntaxError) as info:
+        parse(source)
+    assert info.value.message == (
+        f"elements nest deeper than {MAX_ELEMENT_DEPTH} levels")
+
+
+def test_long_entity_chain_is_a_syntax_error():
+    """600 entities, each referencing the next: a bounded nesting
+    error, never a RecursionError."""
+    chain = "".join(f'<!ENTITY e{n} "&e{n + 1};">' for n in range(600))
+    source = f'<!DOCTYPE a [{chain}<!ENTITY e600 "x">]><a>&e0;</a>'
+    with pytest.raises(XMLSyntaxError) as info:
+        parse(source)
+    assert "nest deeper than" in info.value.message
+
+
 def test_billion_laughs_is_bounded():
     subset = ['<!ENTITY e0 "ha">']
     for index in range(1, 12):
