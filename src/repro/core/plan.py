@@ -62,11 +62,6 @@ class AttributePlan:
     def is_id(self) -> bool:
         return self.declaration.attribute_type is AttributeType.ID
 
-    @property
-    def is_idref(self) -> bool:
-        return self.declaration.attribute_type in (
-            AttributeType.IDREF, AttributeType.IDREFS)
-
     #: set when an IDREF attribute is mapped to a REF column: the
     #: element type the reference points to (Section 4.4: this cannot
     #: be derived from the DTD, only from documents).

@@ -214,9 +214,6 @@ class ObjectType(DataType):
                 return attribute
         return None
 
-    def attribute_names(self) -> list[str]:
-        return [attribute.name for attribute in self.attributes]
-
 
 @dataclass
 class VarrayType(DataType):

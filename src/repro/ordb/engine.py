@@ -32,6 +32,7 @@ docs/transactions.md):
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import os
 import threading
@@ -87,7 +88,8 @@ from .indexes import (
     SortedIndex,
     build_auto_indexes,
 )
-from .planner import LevelPlan, SelectPlan, compute_table_stats, plan_select
+from .planner import (LevelPlan, SelectPlan, binding_alias,
+                      compute_table_stats, plan_select)
 from .textindex import (
     ContentIndex,
     FullTextIndex,
@@ -98,7 +100,7 @@ from .textindex import (
 )
 from .locks import CATALOG_RESOURCE, EXCLUSIVE, SHARED, LockManager
 from .sessions import Session
-from .expressions import Binding, Env, Evaluator
+from .expressions import Binding, Compiler, Env, Evaluator
 from .results import Result
 from .select import Partial, PartialSelect, Pipeline
 from .schema import Catalog, Column, CompatibilityMode, Table, View
@@ -1772,8 +1774,7 @@ class Database:
 
     # -- DML: update / delete ------------------------------------------------------------------
 
-    def _dml_rows(self, table: Table, alias_key: str,
-                  level: LevelPlan):
+    def _dml_rows(self, table: Table, level: LevelPlan):
         """Yield ``(row, env)`` for each row of *table* an UPDATE or
         DELETE selects: the level's access path gives the candidates
         (a probe's superset of the matches, or every row) and its
@@ -1782,27 +1783,30 @@ class Database:
         candidates = None
         if probe is not None and table.data.rows:
             candidates = self._execute_probe(probe, Env([]))
+        accept, checks = self._level_checks(
+            level, 0, self._compiler([level], None))
         for row in list(table.data.rows if candidates is None
                         else candidates):
             if (self._statement_deadline is not None
                     and time.monotonic() > self._statement_deadline):
                 self._deadline_expired()
-            env = Env([Binding(alias_key, row.values, table, row.oid)])
-            if all(self.evaluator.eval_predicate(conjunct, env) is True
-                   for conjunct in level.filters):
+            if accept is not None and accept(row.values) is not True:
+                continue
+            env = Env([Binding(level.alias_key, row.values, table,
+                               row.oid)])
+            if all(check(env) is True for check in checks):
                 yield row, env
 
     def _update(self, statement: ast.Update) -> Result:
         table = self.catalog.table(statement.table)
-        alias_key = identifiers.normalize(statement.alias
-                                          or statement.table)
         plan = plan_select(self.catalog, statement, self.enable_indexes)
+        level = plan.levels[0]
         count = 0
-        for row, env in self._dml_rows(table, alias_key, plan.levels[0]):
+        for row, env in self._dml_rows(table, level):
             new_values = dict(row.values)
             for target, expression in statement.assignments:
-                column_key = self._assignment_target(table, alias_key,
-                                                     target)
+                column_key = self._assignment_target(
+                    table, level.alias_key, target)
                 column = table.column(column_key)
                 assert column is not None
                 value = self.evaluator.eval(expression, env)
@@ -1855,11 +1859,9 @@ class Database:
 
     def _delete(self, statement: ast.Delete) -> Result:
         table = self.catalog.table(statement.table)
-        alias_key = identifiers.normalize(statement.alias
-                                          or statement.table)
         plan = plan_select(self.catalog, statement, self.enable_indexes)
         matched = {id(row) for row, _env
-                   in self._dml_rows(table, alias_key, plan.levels[0])}
+                   in self._dml_rows(table, plan.levels[0])}
         doomed = [(index, row)
                   for index, row in enumerate(table.data.rows)
                   if id(row) in matched]
@@ -1925,39 +1927,76 @@ class Database:
         if (pipeline.grouped or statement.order_by != ()
                 or statement.distinct):
             limit = None  # every row is needed before any is cut
-        environments = self._enumerate_rows(
-            plan_select(self.catalog, statement, self.enable_indexes),
-            outer_env, limit)
-        return pipeline.partial(environments, self.evaluator)
+        plan = plan_select(self.catalog, statement, self.enable_indexes)
+        compiler = self._compiler(plan.levels, outer_env)
+        environments = self._enumerate_rows(plan, outer_env, limit,
+                                            compiler)
+        return pipeline.partial(environments, self.evaluator, compiler)
+
+    def _compiler(self, levels: list[LevelPlan],
+                  outer_env: Env | None) -> Compiler | None:
+        """The compiler for one execution's per-row expressions when
+        one of its *levels* compiles (:func:`_compiles`), else None:
+        a statement that only probes, or reads no table, is
+        interpreted and pays nothing for compiling."""
+        for level in levels:
+            if _compiles(level):
+                return Compiler(self.evaluator, levels, outer_env)
+        return None
+
+    def _level_checks(self, level: LevelPlan, index: int,
+                      compiler: Compiler | None):
+        """``(accept, checks)`` for the filters of FROM level *index*.
+        ``accept(columns)`` runs on a candidate row's columns dict
+        before it is bound, so a rejected row allocates nothing; it is
+        None unless the level compiles and its filters read only its
+        own columns.  ``checks`` run on the bound row's Env; each is
+        TRUE for a row that passes."""
+        filters = level.filters
+        if compiler is None or not _compiles(level):
+            return None, [functools.partial(self.evaluator.eval_predicate,
+                                            conjunct)
+                          for conjunct in filters]
+        accept = compiler.level_filter(filters, index) if filters else None
+        if accept is not None:
+            return accept, []
+        return None, [compiler.predicate(conjunct, index + 1)
+                      for conjunct in filters]
 
     def _enumerate_rows(self, plan: SelectPlan, outer_env: Env | None,
-                        limit: int | None) -> list[Env]:
+                        limit: int | None,
+                        compiler: Compiler | None) -> list[Env]:
         """The environments of the rows that pass *plan*'s filters,
         nested-loop style; enumeration stops at *limit* rows."""
         environments: list[Env] = []
         levels = plan.levels
-        residual = plan.residual
+        # the planner put the pushed conjuncts most-selective first
+        # (REF dereferences last); all of them run
+        filters = [self._level_checks(level, index, compiler)
+                   for index, level in enumerate(levels)]
+        if compiler is not None:
+            residual = [compiler.predicate(conjunct)
+                        for conjunct in plan.residual]
+        else:
+            residual = [functools.partial(self.evaluator.eval_predicate,
+                                          conjunct)
+                        for conjunct in plan.residual]
 
         def expand(index: int, frames: list[Binding]) -> bool:
             if index == len(levels):
                 env = Env(list(frames), outer_env)
-                for conjunct in residual:
-                    if self.evaluator.eval_predicate(conjunct,
-                                                     env) is not True:
+                for check in residual:
+                    if check(env) is not True:
                         return False
                 environments.append(env)
                 return limit is not None and len(environments) >= limit
-            level = levels[index]
+            accept, checks = filters[index]
             partial = Env(list(frames), outer_env)
-            # the planner put the pushed conjuncts most-selective
-            # first (REF dereferences last); all of them run
-            pushed = level.filters
-            for binding in self._bindings_for(level, partial):
+            for binding in self._bindings_for(levels[index], partial,
+                                              accept):
                 frames.append(binding)
-                env = Env(frames, outer_env) if pushed else None
-                passed = all(
-                    self.evaluator.eval_predicate(conjunct, env) is True
-                    for conjunct in pushed)
+                env = Env(frames, outer_env) if checks else None
+                passed = all(check(env) is True for check in checks)
                 done = passed and expand(index + 1, frames)
                 frames.pop()
                 if done:
@@ -1966,7 +2005,12 @@ class Database:
 
         if len(levels) > 1:
             self.stats["joins"] += len(levels) - 1
-        expand(0, [])
+        try:
+            expand(0, [])
+        finally:
+            # expand's closure holds expand itself: without this the
+            # cycle keeps every row's Env alive until the collector runs
+            del expand
         return environments
 
     def _probe_rows(self, probe: ProbeSpec,
@@ -2041,8 +2085,9 @@ class Database:
             return self._trigram_probe_rows(probe)
         return self._probe_rows(probe, env)
 
-    def _bindings_for(self, level: LevelPlan, env: Env):
-        """Bindings for one FROM level, read by its access path.
+    def _bindings_for(self, level: LevelPlan, env: Env, accept):
+        """Bindings for one FROM level, read by its access path; with
+        *accept*, only the rows whose columns dict it finds TRUE.
 
         ``rows_scanned``/``full_scans`` are counted here and only for
         *physical* row visits (table rows — scanned or probed — and
@@ -2051,15 +2096,14 @@ class Database:
         already accounted for the physical work it did, and a view
         answered from the statement's memo did none at all.
         """
-        item, plan = level.item, level.access
+        item, plan, alias_key = level.item, level.access, level.alias_key
         if isinstance(item, ast.TableRef):
             key = identifiers.normalize(item.name)
             if key in self.catalog.views:
-                yield from self._view_bindings(
-                    self.catalog.views[key], item.alias)
+                yield from self._view_bindings(self.catalog.views[key],
+                                               alias_key)
                 return
             table = self.catalog.table(item.name)
-            alias_key = identifiers.normalize(item.alias or item.name)
             snap = self._active_snapshot
             rows = table.data.rows
             probe = plan.probe if plan is not None else None
@@ -2093,26 +2137,27 @@ class Database:
                     # deleted ones survive only as tombstones
                     rows = itertools.chain(rows,
                                            list(table.data.tombstones))
+            stats, deadline = self.stats, self._statement_deadline
             for row in rows:
-                self.stats["rows_scanned"] += 1
-                if (self._statement_deadline is not None
-                        and time.monotonic() > self._statement_deadline):
+                stats["rows_scanned"] += 1
+                if deadline is not None and time.monotonic() > deadline:
                     self._deadline_expired()
                 if snap is None:
-                    yield Binding(alias_key, row.values, table, row.oid)
-                    continue
-                if row.pending is not None \
-                        and row.pending != snap.token:
-                    # a 2PL reader would be blocked right here
-                    snap.saw_pending = True
-                values = row.visible_values(snap.ts, snap.token)
-                if values is None:
+                    values = row.values
+                else:
+                    if row.pending is not None \
+                            and row.pending != snap.token:
+                        # a 2PL reader would be blocked right here
+                        snap.saw_pending = True
+                    values = row.visible_values(snap.ts, snap.token)
+                    if values is None:
+                        continue
+                if accept is not None and accept(values) is not True:
                     continue
                 yield Binding(alias_key, values, table, row.oid)
             return
         if isinstance(item, ast.SubqueryRef):
             result = self.execute_select(item.query, env)
-            alias_key = identifiers.normalize(item.alias or "SUBQUERY")
             keys = [identifiers.normalize(name)
                     for name in result.columns]
             for row in result.rows:
@@ -2120,7 +2165,6 @@ class Database:
             return
         assert isinstance(item, ast.TableFunctionRef)
         value = self.evaluator.eval(item.expression, env)
-        alias_key = identifiers.normalize(item.alias or "COLLECTION")
         if value is None:
             return
         if not isinstance(value, CollectionValue):
@@ -2137,6 +2181,8 @@ class Database:
                 }
             else:
                 columns = {"COLUMN_VALUE": element}
+            if accept is not None and accept(columns) is not True:
+                continue
             yield Binding(alias_key, columns)
 
     def _collection_element_type(self, value: CollectionValue):
@@ -2160,12 +2206,11 @@ class Database:
             view.query, None)
         return result
 
-    def _view_bindings(self, view: View, alias: str | None):
+    def _view_bindings(self, view: View, alias_key: str):
         result = self._view_result(view)
         names = (list(view.column_names)
                  if view.column_names else result.columns)
         keys = [identifiers.normalize(name) for name in names]
-        alias_key = identifiers.normalize(alias or view.name)
         for row in result.rows:
             yield Binding(alias_key, dict(zip(keys, row)))
 
@@ -2180,11 +2225,10 @@ class Database:
                 names = (list(view.column_names)
                          if view.column_names else result.columns)
                 keys = {identifiers.normalize(n): None for n in names}
-                return [Binding(identifiers.normalize(
-                    item.alias or view.name), keys)]
+                return [Binding(binding_alias(item), keys)]
             table = self.catalog.table(item.name)
             return [Binding(
-                identifiers.normalize(item.alias or item.name),
+                binding_alias(item),
                 {column.key: None for column in table.columns}, table)]
         return []
 
@@ -2223,6 +2267,14 @@ _DESTRUCTIVE_DDL = (ast.DropTable, ast.DropType, ast.DropView,
 
 
 # -- module helpers --------------------------------------------------------------------
+
+
+def _compiles(level: LevelPlan) -> bool:
+    """Whether a FROM level runs compiled closures, read from its plan:
+    a full-scan table level and a ``TABLE()`` level do; a probed level,
+    a view and a subquery are interpreted."""
+    return isinstance(level.item, ast.TableFunctionRef) or (
+        level.access is not None and level.access.probe is None)
 
 
 def _collect_table_refs(node: object, names: set[str]) -> None:

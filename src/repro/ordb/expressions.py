@@ -15,6 +15,7 @@ values on the way (Section 2.3).
 from __future__ import annotations
 
 import datetime
+import functools
 import re
 import threading
 from decimal import Decimal
@@ -132,7 +133,7 @@ def collect_aggregates(expression: ast.Expr,
             skip -= 1
         elif is_aggregate(node):
             skip = sum(1 for _ in ast.walk(node, ast.SelectStmt)) - 1
-            if node not in out:
+            if not any(ast.same(node, seen) for seen in out):
                 out.append(node)
 
 
@@ -154,10 +155,7 @@ class Evaluator:
 
     def eval_predicate(self, expression: ast.Expr, env: Env) -> bool | None:
         """Evaluate as a truth value: True, False or None (UNKNOWN)."""
-        value = self.eval(expression, env)
-        if value is None or isinstance(value, bool):
-            return value
-        raise TypeMismatch("expression is not a condition")
+        return _truth(self.eval(expression, env))
 
     # -- leaves ------------------------------------------------------------------
 
@@ -237,14 +235,9 @@ class Evaluator:
     def _eval_BinaryOp(self, expression: ast.BinaryOp, env: Env) -> object:
         operator = expression.operator
         if operator == "AND" or operator == "OR":
-            decisive = operator == "OR"  # the value that settles it
-            unknown = False
-            for operand in self._operands(expression):
-                value = self.eval_predicate(operand, env)
-                if value is decisive:
-                    return decisive
-                unknown = unknown or value is None
-            return None if unknown else not decisive
+            return _connective(operator == "OR", (
+                self.eval_predicate(operand, env)
+                for operand in self._operands(expression)))
         left = expression.left
         if type(left) is not ast.BinaryOp:
             return _apply(operator, self.eval(left, env),
@@ -273,76 +266,39 @@ class Evaluator:
 
     def _eval_UnaryOp(self, expression: ast.UnaryOp, env: Env) -> object:
         if expression.operator == "NOT":
-            value = self.eval_predicate(expression.operand, env)
-            if value is None:
-                return None
-            return not value
-        value = self.eval(expression.operand, env)
-        if value is None:
-            return None
-        number = _as_number(value)
-        return -number if expression.operator == "-" else number
+            return _not(self.eval_predicate(expression.operand, env))
+        return _sign(expression.operator == "-",
+                     self.eval(expression.operand, env))
 
     def _eval_IsNull(self, expression: ast.IsNull, env: Env) -> bool:
         value = self.eval(expression.operand, env)
-        result = value is None
-        return (not result) if expression.negated else result
+        return (value is None) is not expression.negated
 
     def _eval_Like(self, expression: ast.Like, env: Env) -> bool | None:
         value = self.eval(expression.operand, env)
         pattern = self.eval(expression.pattern, env)
         escape = (self.eval(expression.escape, env)
                   if expression.escape is not None else None)
-        if value is None or pattern is None:
-            return None
-        if expression.escape is not None and escape is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise TypeMismatch("LIKE requires string operands")
-        regex = _like_to_regex(pattern, escape)
-        result = regex.fullmatch(value) is not None
-        return (not result) if expression.negated else result
+        return _like(expression, value, pattern, escape)
 
     def _eval_Between(self, expression: ast.Between,
                       env: Env) -> bool | None:
-        value = self.eval(expression.operand, env)
-        low = self.eval(expression.low, env)
-        high = self.eval(expression.high, env)
-        lower = _compare(">=", value, low)
-        upper = _compare("<=", value, high)
-        if lower is None or upper is None:
-            return None
-        result = lower and upper
-        return (not result) if expression.negated else result
+        return _between(expression.negated,
+                        self.eval(expression.operand, env),
+                        self.eval(expression.low, env),
+                        self.eval(expression.high, env))
 
     def _eval_InList(self, expression: ast.InList, env: Env) -> bool | None:
-        value = self.eval(expression.operand, env)
-        saw_null = False
-        for item in expression.items:
-            candidate = self.eval(item, env)
-            verdict = _compare("=", value, candidate)
-            if verdict is True:
-                return not expression.negated
-            if verdict is None:
-                saw_null = True
-        if saw_null:
-            return None
-        return expression.negated
+        return _member(expression.negated,
+                       self.eval(expression.operand, env),
+                       (self.eval(item, env) for item in expression.items))
 
     def _eval_InSubquery(self, expression: ast.InSubquery,
                          env: Env) -> bool | None:
         value = self.eval(expression.operand, env)
         result = self.engine.execute_select(expression.query, env)
-        saw_null = False
-        for row in result.rows:
-            verdict = _compare("=", value, row[0])
-            if verdict is True:
-                return not expression.negated
-            if verdict is None:
-                saw_null = True
-        if saw_null:
-            return None
-        return expression.negated
+        return _member(expression.negated, value,
+                       (row[0] for row in result.rows))
 
     def _eval_Exists(self, expression: ast.Exists, env: Env) -> bool:
         result = self.engine.execute_select(expression.query, env,
@@ -427,7 +383,8 @@ class Evaluator:
             arguments = [self.eval(a, env) for a in expression.arguments]
             return construct_collection(datatype, arguments,
                                         self.catalog.resolve_type)
-        return self._scalar_function(name, expression, env)
+        return self._scalar_function(
+            name, expression, [self.eval(a, env) for a in expression.arguments])
 
     def _ref_of(self, expression: ast.FunctionCall, env: Env,
                 want_ref: bool) -> object:
@@ -506,9 +463,7 @@ class Evaluator:
         return self.eval(expression.arguments[0], env)
 
     def _scalar_function(self, name: str, expression: ast.FunctionCall,
-                         env: Env) -> object:
-        arguments = [self.eval(a, env) for a in expression.arguments]
-
+                         arguments: list[object]) -> object:
         def arg(index: int) -> object:
             if index >= len(arguments):
                 raise NotSupported(
@@ -551,10 +506,9 @@ class Evaluator:
             value = arg(0)
             return None if value is None else abs(_as_number(value))
         if name == "MOD":
-            left, right = arg(0), arg(1)
-            if left is None or right is None:
-                return None
-            return _as_number(left) % _as_number(right)
+            if len(arguments) != 2:
+                raise NotSupported("MOD takes exactly two arguments")
+            return _mod(*arguments)
         if name == "ROUND":
             value = arg(0)
             if value is None:
@@ -581,21 +535,378 @@ class Evaluator:
         raise NotSupported(f"unknown function {expression.name!r}")
 
 
+# -- compiled expressions ---------------------------------------------------------------
+
+
+class _NeedsRow(Exception):
+    """A closure over one level's columns dict met a node that needs
+    the whole row: the level checks its bindings instead."""
+
+
+#: node kinds whose value is always TRUE, FALSE or NULL, so a compiled
+#: condition needs no check that it is one
+_CONDITIONS = (ast.IsNull, ast.Like, ast.Between, ast.InList,
+               ast.InSubquery, ast.Exists)
+_LOGICAL = frozenset({"AND", "OR", "NOT", "=", "<>", "<", ">", "<=",
+                      ">="})
+#: functions the compiler leaves to :meth:`Evaluator.eval`
+_INTERPRETED_FUNCTIONS = AGGREGATE_FUNCTIONS | {
+    "REF", "VALUE", "DEREF", "CONTAINS", "VECTOR_DISTANCE"}
+
+
+def _is_condition(expression: ast.Expr) -> bool:
+    return isinstance(expression, _CONDITIONS) or (
+        isinstance(expression, (ast.BinaryOp, ast.UnaryOp))
+        and expression.operator in _LOGICAL)
+
+
+class Compiler:
+    """Compiles expressions into closures over resolved column slots.
+
+    One compiler serves one execution of one statement.  *levels* are
+    its FROM levels in order, each a :class:`~.planner.LevelPlan`
+    whose ``alias_key`` its bindings carry and whose ``columns`` are
+    None where they are known only once rows are read (views,
+    subqueries, ``TABLE()``).  A column reference resolves once, to a
+    level index and a normalized key, and its closure reads
+    ``env.frames[level].columns[key]``.  Operators run through the
+    helpers :class:`Evaluator` uses (:func:`_apply`, :func:`_compare`,
+    :func:`_like`, :meth:`Evaluator._scalar_function` ...), so each
+    operator's semantics live in one place.  What does not compile —
+    subqueries, constructors, ``REF()`` / ``VALUE()`` / ``DEREF()``,
+    ``CONTAINS``, ``CAST``, ``*`` and any reference that does not
+    resolve (an outer or unknown column) — becomes a closure around
+    :meth:`Evaluator.eval`, so it raises where and what it raises
+    interpreted.  Compiling never raises.
+    """
+
+    def __init__(self, evaluator: Evaluator, levels: list,
+                 outer_env: Env | None = None):
+        self.evaluator = evaluator
+        self.levels = levels
+        self.outer_env = outer_env
+        #: how many levels the closures' rows bind, and the level whose
+        #: columns dict they get instead of an Env (None: an Env)
+        self._bound = len(levels)
+        self._single: int | None = None
+
+    def compile(self, expression: ast.Expr, bound: int | None = None):
+        """``f(env)``: *expression* over a row binding the first
+        *bound* levels (all of them by default)."""
+        self._bound = len(self.levels) if bound is None else bound
+        self._single = None
+        return self._node(expression)
+
+    def predicate(self, expression: ast.Expr, bound: int | None = None):
+        """As :meth:`compile`, for a condition: like
+        :meth:`Evaluator.eval_predicate`, its closure raises
+        TypeMismatch on a value that is not a truth value."""
+        test = self.compile(expression, bound)
+        return test if _is_condition(expression) else _checked(test)
+
+    def level_filter(self, conjuncts: list[ast.Expr], level: int):
+        """``f(columns)`` over the candidate columns dict of *level*:
+        True when every conjunct is TRUE, so a row it rejects needs no
+        Binding or Env.  None when a conjunct reads another level or
+        needs :meth:`Evaluator.eval`."""
+        self._bound, self._single = level + 1, level
+        tests = []
+        try:
+            for conjunct in conjuncts:
+                test = self._node(conjunct)
+                tests.append(test if _is_condition(conjunct)
+                             else _checked(test))
+        except _NeedsRow:
+            return None
+        finally:
+            self._single = None
+        if len(tests) == 1:
+            return tests[0]
+
+        def accept(columns: dict) -> bool:
+            for test in tests:
+                if test(columns) is not True:
+                    return False
+            return True
+        return accept
+
+    # -- nodes -----------------------------------------------------------------------
+
+    def _node(self, expression: ast.Expr):
+        method = getattr(self, "_c_" + type(expression).__name__, None)
+        if method is None:
+            return self._interpreted(expression)
+        return method(expression)
+
+    def _interpreted(self, expression: ast.Expr):
+        if self._single is not None:
+            raise _NeedsRow
+        return functools.partial(self.evaluator.eval, expression)
+
+    def _c_Literal(self, expression: ast.Literal):
+        value = expression.value
+        return lambda row: value
+
+    def _c_DateLiteral(self, expression: ast.DateLiteral):
+        try:
+            value = self.evaluator._eval_DateLiteral(expression, EMPTY_ENV)
+        except TypeMismatch:  # raised per row, as interpreted
+            return self._interpreted(expression)
+        return lambda row: value
+
+    def _c_ColumnPath(self, expression: ast.ColumnPath):
+        parts = expression.parts
+        head = identifiers.normalize(parts[0])
+        level = next((index for index in range(self._bound)
+                      if self.levels[index].alias_key == head), None)
+        if level is not None and len(parts) > 1:
+            key, rest = identifiers.normalize(parts[1]), parts[2:]
+        elif level is None and (self.outer_env is None
+                                or self.outer_env.find_alias(head) is None):
+            level, key, rest = self._column_level(head), head, parts[1:]
+        else:
+            level = None
+        if level is None:
+            return self._interpreted(expression)
+        read = self._slot(level, key, expression)
+        if not rest:
+            return read
+        navigate = self.evaluator._navigate
+        return lambda row: navigate(read(row), rest, expression)
+
+    def _column_level(self, key: str) -> int | None:
+        """The one bound level with a column *key*, else None (none,
+        several, or a level whose columns are not known yet)."""
+        columns = [level.columns for level in self.levels[:self._bound]]
+        if any(keys is None for keys in columns):
+            return None
+        found = [index for index, keys in enumerate(columns)
+                 if key in keys]
+        return found[0] if len(found) == 1 else None
+
+    def _slot(self, level: int, key: str, expression: ast.ColumnPath):
+        # a key the level's rows lack raises what Evaluator.eval does
+        evaluate = self.evaluator.eval
+        if self._single is None:
+            def read(env: Env) -> object:
+                try:
+                    return env.frames[level].columns[key]
+                except KeyError:
+                    return evaluate(expression, env)
+            return read
+        if level != self._single:
+            raise _NeedsRow
+        alias = self.levels[level].alias_key
+
+        def read_columns(columns: dict) -> object:
+            try:
+                return columns[key]
+            except KeyError:
+                return evaluate(expression, Env([Binding(alias, columns)]))
+        return read_columns
+
+    def _c_AttributeAccess(self, expression: ast.AttributeAccess):
+        base = self._node(expression.base)
+        access, attribute = self.evaluator._access, expression.attribute
+        return lambda row: access(base(row), attribute, "expression")
+
+    def _c_BinaryOp(self, expression: ast.BinaryOp):
+        operator = expression.operator
+        if operator == "AND" or operator == "OR":
+            return self._logical(expression)
+        # a left-deep chain (a + b + c ...) compiles and runs in a loop
+        spine = [expression]
+        left = expression.left
+        while (type(left) is ast.BinaryOp and left.operator != "AND"
+               and left.operator != "OR"):
+            spine.append(left)
+            left = left.left
+        if any(node.operator not in _OPERATIONS for node in spine):
+            return self._interpreted(expression)  # pragma: no cover
+        first = self._node(left)
+        steps = [(_OPERATIONS[node.operator], self._node(node.right))
+                 for node in reversed(spine)]
+        if len(steps) == 1:
+            ((operation, right),) = steps
+            return lambda row: operation(first(row), right(row))
+
+        def chain(row) -> object:
+            value = first(row)
+            for operation, right in steps:
+                value = operation(value, right(row))
+            return value
+        return chain
+
+    def _logical(self, expression: ast.BinaryOp):
+        decisive = expression.operator == "OR"
+        operands = [self._node(operand) for operand
+                    in ast.flatten(expression, expression.operator)]
+        return lambda row: _connective(
+            decisive, (_truth(operand(row)) for operand in operands))
+
+    def _c_UnaryOp(self, expression: ast.UnaryOp):
+        operand = self._node(expression.operand)
+        if expression.operator == "NOT":
+            return lambda row: _not(_truth(operand(row)))
+        minus = expression.operator == "-"
+        return lambda row: _sign(minus, operand(row))
+
+    def _c_IsNull(self, expression: ast.IsNull):
+        operand = self._node(expression.operand)
+        negated = expression.negated
+        return lambda row: (operand(row) is None) is not negated
+
+    def _c_Like(self, expression: ast.Like):
+        operand = self._node(expression.operand)
+        pattern = self._node(expression.pattern)
+        escape = (self._node(expression.escape)
+                  if expression.escape is not None else _null)
+        regex = None
+        if isinstance(expression.pattern, ast.Literal) and isinstance(
+                expression.pattern.value, str) and (
+                expression.escape is None
+                or isinstance(expression.escape, ast.Literal)):
+            try:
+                regex = _like_to_regex(
+                    expression.pattern.value,
+                    None if expression.escape is None
+                    else expression.escape.value)
+            except TypeMismatch:  # raised per row, as interpreted
+                regex = None
+        return lambda row: _like(expression, operand(row), pattern(row),
+                                 escape(row), regex)
+
+    def _c_Between(self, expression: ast.Between):
+        operand = self._node(expression.operand)
+        low = self._node(expression.low)
+        high = self._node(expression.high)
+        negated = expression.negated
+        return lambda row: _between(negated, operand(row), low(row),
+                                    high(row))
+
+    def _c_InList(self, expression: ast.InList):
+        operand = self._node(expression.operand)
+        items = [self._node(item) for item in expression.items]
+        negated = expression.negated
+        return lambda row: _member(negated, operand(row),
+                                   (item(row) for item in items))
+
+    def _c_CaseWhen(self, expression: ast.CaseWhen):
+        branches = [(self._node(condition), self._node(value))
+                    for condition, value in expression.branches]
+        default = (self._node(expression.default)
+                   if expression.default is not None else _null)
+
+        def case(row) -> object:
+            for condition, value in branches:
+                if _truth(condition(row)) is True:
+                    return value(row)
+            return default(row)
+        return case
+
+    def _c_FunctionCall(self, expression: ast.FunctionCall):
+        name = expression.name.upper()
+        if name in _INTERPRETED_FUNCTIONS:
+            return self._interpreted(expression)
+        try:
+            self.evaluator.catalog.resolve_type(expression.name)
+        except NoSuchType:  # not a constructor: a scalar function
+            arguments = [self._node(argument)
+                         for argument in expression.arguments]
+            scalar = self.evaluator._scalar_function
+            return lambda row: scalar(name, expression,
+                                      [argument(row) for argument in arguments])
+        return self._interpreted(expression)
+
+
+def _null(row) -> None:
+    return None
+
+
+def _checked(test):
+    """*test* with its value checked as a condition."""
+    return lambda row: _truth(test(row))
+
+
 # -- scalar helpers -----------------------------------------------------------------
 
 
 def _apply(operator: str, left: object, right: object) -> object:
     """The value of ``left <operator> right`` for a non-AND/OR
     operator."""
-    if operator == "||":
-        return _concat(left, right)
-    if operator in ("=", "<>", "<", ">", "<=", ">="):
-        return _compare(operator, left, right)
-    if left is None or right is None:
+    operation = _OPERATIONS.get(operator)
+    if operation is None:  # pragma: no cover - the parser prevents it
+        raise NotSupported(f"operator {operator!r}")
+    return operation(left, right)
+
+
+def _truth(value: object) -> bool | None:
+    """*value* as a condition: True, False or None (UNKNOWN)."""
+    if value is None or value is True or value is False:
+        return value
+    raise TypeMismatch("expression is not a condition")
+
+
+def _connective(decisive: bool, truths) -> bool | None:
+    """Three-valued AND (*decisive* False) or OR (*decisive* True) of
+    the *truths*, read left to right and only until one settles it."""
+    unknown = False
+    for value in truths:
+        if value is decisive:
+            return decisive
+        unknown = unknown or value is None
+    return None if unknown else not decisive
+
+
+def _not(value: bool | None) -> bool | None:
+    return None if value is None else not value
+
+
+def _sign(minus: bool, value: object) -> object:
+    if value is None:
         return None
-    if operator in ("+", "-", "*", "/"):
-        return _arithmetic(operator, left, right)
-    raise NotSupported(f"operator {operator!r}")  # pragma: no cover
+    number = _as_number(value)
+    return -number if minus else number
+
+
+def _between(negated: bool, value: object, low: object,
+             high: object) -> bool | None:
+    lower = _compare(">=", value, low)
+    upper = _compare("<=", value, high)
+    if lower is None or upper is None:
+        return None
+    return (lower and upper) is not negated
+
+
+def _member(negated: bool, value: object, candidates) -> bool | None:
+    """``value [NOT] IN (candidates)``: the candidates are read only
+    until one equals *value*."""
+    saw_null = False
+    for candidate in candidates:
+        verdict = _compare("=", value, candidate)
+        if verdict is True:
+            return not negated
+        if verdict is None:
+            saw_null = True
+    return None if saw_null else negated
+
+
+def _like(expression: ast.Like, value: object, pattern: object,
+          escape: object, regex: re.Pattern[str] | None = None
+          ) -> bool | None:
+    """``value LIKE pattern [ESCAPE escape]`` for *expression*'s
+    negation and ESCAPE clause; *regex* is the pattern already
+    compiled, when it is a constant."""
+    if value is None or pattern is None:
+        return None
+    if expression.escape is not None and escape is None:
+        return None
+    if not isinstance(value, str) or not isinstance(pattern, str):
+        raise TypeMismatch("LIKE requires string operands")
+    if regex is None:
+        regex = _like_to_regex(pattern, escape)
+    result = regex.fullmatch(value) is not None
+    return (not result) if expression.negated else result
 
 
 def _concat(left: object, right: object) -> str:
@@ -627,6 +938,20 @@ def _as_number(value: object) -> Decimal | int:
     raise TypeMismatch(f"{type(value).__name__} is not a number")
 
 
+def _mod(left: object, right: object) -> Decimal | int | None:
+    """Oracle's ``MOD``: the remainder takes the dividend's sign, and
+    ``MOD(x, 0)`` is ``x``."""
+    if left is None or right is None:
+        return None
+    dividend, divisor = _as_number(left), _as_number(right)
+    if divisor == 0:
+        return dividend
+    if isinstance(dividend, int) and isinstance(divisor, int):
+        remainder = abs(dividend) % abs(divisor)
+        return -remainder if dividend < 0 else remainder
+    return dividend % divisor  # a Decimal remainder keeps this sign
+
+
 def _arithmetic(operator: str, left: object, right: object) -> object:
     a = _as_number(left)
     b = _as_number(right)
@@ -639,6 +964,14 @@ def _arithmetic(operator: str, left: object, right: object) -> object:
     if b == 0:
         raise TypeMismatch("division by zero")
     return Decimal(a) / Decimal(b)
+
+
+def _arithmetic_of(operator: str):
+    def operation(left: object, right: object) -> object:
+        if left is None or right is None:
+            return None
+        return _arithmetic(operator, left, right)
+    return operation
 
 
 def _compare(operator: str, left: object, right: object) -> bool | None:
@@ -660,8 +993,24 @@ def _compare(operator: str, left: object, right: object) -> bool | None:
     return ordering >= 0
 
 
+#: operator -> ``f(left, right)`` for every non-AND/OR binary operator
+_OPERATIONS = {
+    "||": _concat,
+    **{operator: functools.partial(_compare, operator)
+       for operator in ("=", "<>", "<", ">", "<=", ">=")},
+    **{operator: _arithmetic_of(operator)
+       for operator in ("+", "-", "*", "/")},
+}
+
+
+#: number types that order without conversion (bool is not one)
+_PLAIN_NUMBERS = frozenset({int, Decimal})
+
+
 def _ordering(left: object, right: object) -> int | None:
     """-1/0/1 ordering; None when only (in)equality is defined."""
+    if type(left) in _PLAIN_NUMBERS and type(right) in _PLAIN_NUMBERS:
+        return (left > right) - (left < right)
     if isinstance(left, (ObjectValue, CollectionValue, RefValue)) or \
             isinstance(right, (ObjectValue, CollectionValue, RefValue)):
         return 0 if left == right else None

@@ -264,10 +264,6 @@ class LockManager:
         with self._mutex:
             return self._holders.get(resource, {}).get(sid)
 
-    def held_resources(self, sid: int) -> set[str]:
-        with self._mutex:
-            return set(self._held.get(sid, ()))
-
     def waiting_sessions(self) -> set[int]:
         with self._mutex:
             return set(self._waits_for)

@@ -82,11 +82,23 @@ class LevelPlan:
     """One FROM level: the item, its :class:`AccessPlan` (None for
     views, subqueries, ``TABLE()`` and unknown names, which read their
     own rows) and the conjuncts that run as soon as the level's row
-    is bound, in evaluation order."""
+    is bound, in evaluation order.  ``alias_key`` is the alias its
+    bindings carry (:func:`binding_alias`) and ``table`` the table it
+    reads (None for those other items)."""
 
     item: ast.FromItem
     access: AccessPlan | None
     filters: list[ast.Expr]
+    alias_key: str
+    table: Table | None = None
+
+    @property
+    def columns(self) -> list[str] | None:
+        """The column keys of the level's rows, or None where they are
+        known only once rows are read (views, subqueries, ``TABLE()``,
+        unknown names)."""
+        return self.table.column_keys() if self.table is not None \
+            else None
 
 
 @dataclass(slots=True)
@@ -142,22 +154,34 @@ def plan_select(catalog, statement: ast.SelectStmt | ast.Update
     for item, conjuncts in zip(items, pushed):
         table = None
         if isinstance(item, ast.TableRef):
-            key = identifiers.normalize(item.name)
-            if key not in catalog.views:
+            name_key = identifiers.normalize(item.name)
+            if name_key not in catalog.views:
                 # None for an unknown name: the executor raises
-                table = catalog.tables.get(key)
+                table = catalog.tables.get(name_key)
+        key = binding_alias(item)
         if table is None:
-            levels.append(LevelPlan(item, None, conjuncts))
+            levels.append(LevelPlan(item, None, conjuncts, key))
             continue
-        alias_key = identifiers.normalize(item.alias or item.name)
         levels.append(LevelPlan(
-            item, plan_access(table, alias_key, conjuncts,
+            item, plan_access(table, key, conjuncts,
                               allow_probes=enable_indexes),
-            order_conjuncts(table, alias_key, conjuncts)))
+            order_conjuncts(table, key, conjuncts), key, table))
     if not isinstance(statement, ast.SelectStmt):
         levels[0].filters = [where] if where is not None else []
         residual = []
     return SelectPlan(levels, residual)
+
+
+def binding_alias(item: ast.FromItem) -> str:
+    """The normalized alias a FROM item's bindings carry: its alias,
+    else a table's or view's name, ``SUBQUERY`` or ``COLLECTION``."""
+    if isinstance(item, ast.TableRef):
+        name = item.name
+    elif isinstance(item, ast.SubqueryRef):
+        name = "SUBQUERY"
+    else:
+        name = "COLLECTION"
+    return identifiers.normalize(item.alias or name)
 
 
 #: what a pushable conjunct may be built from besides qualified
@@ -235,6 +259,9 @@ def order_conjuncts(table: Table, alias_key: str,
     """Evaluation order for pushed conjuncts: most selective class
     first, REF-dereferencing predicates last (stable within a rank,
     so equal plans render deterministically)."""
+    if len(pushed) < 2:
+        return list(pushed)  # nothing to order
+
     def rank(conjunct: ast.Expr) -> int:
         value = _RANK[_conjunct_class(conjunct)]
         if _dereferences_ref(conjunct, alias_key, table):

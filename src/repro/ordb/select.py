@@ -33,6 +33,8 @@ that built it.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import heapq
 import operator
 from decimal import Decimal
 
@@ -40,6 +42,7 @@ from . import identifiers
 from .errors import NoSuchColumn, NotSupported
 from .expressions import (
     EMPTY_ENV,
+    Compiler,
     Env,
     Evaluator,
     _as_number,
@@ -139,6 +142,11 @@ class _SortKey:
             return _less(a, b) == ascending
         return False
 
+    def __eq__(self, other: "_SortKey") -> bool:
+        # equal exactly when neither orders first: heapq breaks a tie
+        # on its insertion count only for keys that compare equal
+        return not (self < other or other < self)
+
 
 # -- aggregates --------------------------------------------------------------------
 
@@ -218,13 +226,15 @@ class Aggregate:
                 state = self._step(state, value)
         return self._final(state)
 
-    def accumulate(self, members: list[Env], evaluate) -> object:
-        """The state after every row of *members*."""
+    def accumulate(self, members: list[Env], read) -> object:
+        """The state after every row of *members*; ``read(env)`` is
+        the argument's value on a row."""
         if self.star:
             return len(members)
-        state, step, argument = self.start(), self.step, self.argument
+        state = self.start()
+        step = self.step if self.distinct else self._step
         for env in members:
-            value = evaluate(argument, env)
+            value = read(env)
             if value is not None:
                 state = step(state, value)
         return state
@@ -234,18 +244,31 @@ class Aggregate:
 
 
 class _Substituting(Evaluator):
-    """Evaluates the select list of a finished group: its aggregate
-    calls (from merged states) and the parts that read the row
-    (evaluated where the row was) already have ``values``."""
+    """Evaluates the select list of a finished group: the parts that
+    read the row (evaluated where the row was) have ``values``, keyed
+    by node identity, and each aggregate call takes the ``finals`` of
+    the distinct call it repeats.  Neither lookup hashes or compares a
+    tree by recursion, so a deep expression costs no Python stack."""
 
-    def __init__(self, engine):
+    def __init__(self, engine, calls: list[ast.FunctionCall]):
         super().__init__(engine)
-        self.values: dict[ast.Expr, object] = {}
+        self.calls = calls
+        self.values: dict[int, object] = {}
+        self.finals: list[object] = []
 
     def eval(self, expression: ast.Expr, env: Env) -> object:
-        if expression in self.values:
-            return self.values[expression]
+        values = self.values
+        if id(expression) in values:
+            return values[id(expression)]
         return super().eval(expression, env)
+
+    def _eval_FunctionCall(self, expression: ast.FunctionCall,
+                           env: Env) -> object:
+        if is_aggregate(expression):
+            for call, final in zip(self.calls, self.finals):
+                if call is expression or ast.same(call, expression):
+                    return final
+        return super()._eval_FunctionCall(expression, env)
 
     def _operands(self, expression: ast.BinaryOp) -> list[ast.Expr]:
         # a row part may be an inner node of an AND/OR chain, so each
@@ -253,18 +276,20 @@ class _Substituting(Evaluator):
         return [expression.left, expression.right]
 
     def _known(self, expression: ast.Expr) -> bool:
-        return expression in self.values
+        return id(expression) in self.values
 
 
 def _row_parts(expression: ast.Expr, out: list[ast.Expr]) -> None:
     """Collect into *out* the maximal aggregate-free sub-expressions
-    of a select-list entry (all of it, when it has no aggregate)."""
-    if not contains_aggregate(expression):
-        if expression not in out:
-            out.append(expression)
-    elif not is_aggregate(expression):
-        for child in sub_expressions(expression):
-            _row_parts(child, out)
+    of a select-list entry (all of it, when it has no aggregate), left
+    to right; a loop, so a deep entry costs no Python stack."""
+    pending = [expression]
+    while pending:
+        node = pending.pop()
+        if not contains_aggregate(node):
+            out.append(node)
+        elif not is_aggregate(node):
+            pending.extend(reversed(sub_expressions(node)))
 
 
 # -- the pipeline --------------------------------------------------------------------
@@ -298,32 +323,44 @@ class Pipeline:
 
     # -- partial ---------------------------------------------------------------------
 
-    def partial(self, environments: list[Env],
-                evaluator: Evaluator) -> Partial:
-        """The partial of the rows one engine enumerated."""
+    def partial(self, environments: list[Env], evaluator: Evaluator,
+                compiler: Compiler | None = None) -> Partial:
+        """The partial of the rows one engine enumerated.  Each
+        expression read per row is compiled by *compiler* when the
+        engine gave one, else interpreted by *evaluator*."""
         statement = self.statement
-        evaluate = evaluator.eval
+        if compiler is not None:
+            read = compiler.compile
+        else:
+            def read(expression: ast.Expr):
+                return functools.partial(evaluator.eval, expression)
         columns = _output_columns(statement, environments,
                                   evaluator.engine)
         if not self.grouped:
             indices, hidden = self._order_indices(columns)
             expressions = [item.expression
                            for item in statement.items] + hidden
-            rows = []
-            for env in environments:
-                values: list[object] = []
-                for expression in expressions:
-                    if isinstance(expression, ast.Star):
-                        values.extend(_star_values(expression, env))
-                    else:
-                        values.append(evaluate(expression, env))
-                rows.append(tuple(values))
+            reads = [None if isinstance(expression, ast.Star)
+                     else read(expression) for expression in expressions]
+            if None not in reads:
+                rows = [tuple([reader(env) for reader in reads])
+                        for env in environments]
+            else:
+                rows = []
+                for env in environments:
+                    values: list[object] = []
+                    for expression, reader in zip(expressions, reads):
+                        if reader is None:
+                            values.extend(_star_values(expression, env))
+                        else:
+                            values.append(reader(env))
+                    rows.append(tuple(values))
             return Partial(columns, rows=self._reduce(rows, indices))
         if statement.group_by:
+            keys = [read(expression) for expression in statement.group_by]
             buckets: dict[tuple, list[Env]] = {}
             for env in environments:
-                key = tuple([hashable(evaluate(expression, env))
-                             for expression in statement.group_by])
+                key = tuple([hashable(reader(env)) for reader in keys])
                 members = buckets.get(key)
                 if members is None:
                     buckets[key] = [env]
@@ -331,14 +368,16 @@ class Pipeline:
                     members.append(env)
         else:
             buckets = {(): environments}
+        firsts = [read(expression) for expression in self.row_expressions]
+        arguments = [None if aggregate.star else read(aggregate.argument)
+                     for aggregate in self.aggregates]
         groups = {}
         for key, members in buckets.items():
-            first = (tuple([evaluate(expression, members[0])
-                            for expression in self.row_expressions])
+            first = (tuple([reader(members[0]) for reader in firsts])
                      if members else None)
             groups[key] = [first, [
-                aggregate.accumulate(members, evaluate)
-                for aggregate in self.aggregates]]
+                aggregate.accumulate(members, argument)
+                for aggregate, argument in zip(self.aggregates, arguments)]]
         return Partial(columns, groups=groups)
 
     # -- merge -----------------------------------------------------------------------
@@ -376,7 +415,7 @@ class Pipeline:
             return Result(columns, rows)
         statement = self.statement
         indices, _hidden = self._order_indices(columns)
-        over = _Substituting(evaluator.engine)
+        over = _Substituting(evaluator.engine, self.calls)
         rows = []
         for first, states in partial.groups.values():
             if first is None:
@@ -384,10 +423,10 @@ class Pipeline:
                 # read: only row-free expressions still evaluate
                 first = [evaluator.eval(expression, EMPTY_ENV)
                          for expression in self.row_expressions]
-            over.values = dict(zip(self.row_expressions, first))
-            over.values.update(zip(self.calls, [
-                aggregate.final(state) for aggregate, state
-                in zip(self.aggregates, states)]))
+            over.values = {id(expression): value for expression, value
+                           in zip(self.row_expressions, first)}
+            over.finals = [aggregate.final(state) for aggregate, state
+                           in zip(self.aggregates, states)]
             if (statement.having is not None and over.eval_predicate(
                     statement.having, EMPTY_ENV) is not True):
                 continue
@@ -428,8 +467,10 @@ class Pipeline:
                 index = next((position for position, column
                               in enumerate(columns)
                               if column.upper() == wanted), None)
-            if index is None and expression in entries:
-                index = entries.index(expression)
+            if index is None:
+                index = next((position for position, entry
+                              in enumerate(entries)
+                              if ast.same(entry, expression)), None)
             if index is None:
                 if self.grouped or statement.distinct:
                     raise NotSupported(
@@ -445,12 +486,20 @@ class Pipeline:
         statement = self.statement
         if statement.distinct:
             rows = distinct(rows)
+        fetch = statement.fetch_first
         if indices:
             ascending = [item.ascending for item in statement.order_by]
-            rows = sorted(rows, key=lambda row: _SortKey(
-                [row[index] for index in indices], ascending))
-        if statement.fetch_first is not None:
-            rows = rows[:statement.fetch_first]
+
+            def key(row: tuple) -> _SortKey:
+                return _SortKey([row[index] for index in indices],
+                                ascending)
+            if fetch is not None:
+                # the first *fetch* rows only: a heap of that many,
+                # equal to (and as stable as) sorted(...)[:fetch]
+                return heapq.nsmallest(fetch, rows, key=key)
+            rows = sorted(rows, key=key)
+        if fetch is not None:
+            rows = rows[:fetch]
         return rows
 
 

@@ -176,10 +176,6 @@ class RouterFaults:
             events.extend(shard_db.faults.fired)
         return events
 
-    def for_shard(self, index: int) -> FaultInjector:
-        """The raw injector of one shard engine."""
-        return self.router.shards[index].faults
-
 
 class RouterLocks:
     """Just enough of the LockManager surface for the network server:

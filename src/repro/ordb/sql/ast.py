@@ -558,3 +558,33 @@ def flatten(expression: Expr, operator: str) -> list[Expr]:
         else:
             operands.append(node)
     return operands
+
+
+#: per AST node class, every field name (scalar fields included)
+_ALL_FIELDS: dict[type, tuple[str, ...]] = {
+    node_type: tuple(field.name for field in dataclasses.fields(node_type))
+    for node_type in CHILD_FIELDS}
+
+
+def same(left: object, right: object) -> bool:
+    """Structural equality of two AST values: what the dataclasses'
+    generated ``__eq__`` computes, but in a loop, so comparing two
+    deep trees costs no Python stack."""
+    pending = [(left, right)]
+    while pending:
+        a, b = pending.pop()
+        if a is b:
+            continue
+        names = _ALL_FIELDS.get(type(a))
+        if names is not None:
+            if type(b) is not type(a):
+                return False
+            pending.extend((getattr(a, name), getattr(b, name))
+                           for name in names)
+        elif type(a) is tuple and type(b) is tuple:
+            if len(a) != len(b):
+                return False
+            pending.extend(zip(a, b))
+        elif a != b:  # scalars (and type references) compare by value
+            return False
+    return True

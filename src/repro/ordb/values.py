@@ -254,11 +254,6 @@ def construct_collection(collection_type: VarrayType | NestedTableType,
     return CollectionValue(collection_type.name, items)
 
 
-def is_composite(value: object) -> bool:
-    """True for object/collection/REF values (need special rendering)."""
-    return isinstance(value, (ObjectValue, CollectionValue, RefValue))
-
-
 def deep_size(value: object) -> int:
     """Number of scalar leaves inside *value* (used by benchmarks)."""
     if value is None:

@@ -1,5 +1,6 @@
 """DML and SELECT evaluation."""
 
+import gc
 from decimal import Decimal
 
 import pytest
@@ -392,3 +393,26 @@ def test_stats_counters():
     assert db.stats["rows_scanned"] >= 8
     db.reset_stats()
     assert db.stats["inserts"] == 0
+
+
+@pytest.mark.parametrize("sql", [
+    "SELECT p.city, COUNT(*) FROM people p GROUP BY p.city",
+    "SELECT p.name FROM people p WHERE p.age > 30",
+    "SELECT a.name FROM people a, people b WHERE a.city = b.city",
+    "SELECT p.name FROM people p WHERE p.age IN"
+    " (SELECT q.age FROM people q WHERE q.city = 'Halle')",
+    "SELECT p.nope FROM people p",
+])
+def test_select_leaves_no_reference_cycles(people, sql):
+    """A SELECT's row environments are freed as soon as it returns (or
+    fails), not left for the cyclic collector to find."""
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            people.execute(sql)
+        except NoSuchColumn:
+            pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -5,6 +5,7 @@ from decimal import Decimal
 import pytest
 
 from repro.ordb import Database
+from repro.ordb.errors import NotSupported
 
 
 @pytest.fixture
@@ -128,6 +129,38 @@ class TestBooleanAlgebra:
         rows = t.execute(
             "SELECT COUNT(*) FROM t WHERE 1 = 1 OR t.n > 99")
         assert rows.scalar() == 4
+
+
+class TestMod:
+    """``MOD`` follows Oracle: the remainder takes the dividend's sign,
+    ``MOD(x, 0)`` is ``x``, and the call takes exactly two arguments."""
+
+    @pytest.mark.parametrize("call, expected", [
+        ("MOD(11, 4)", 3),
+        ("MOD(-11, 4)", -3),
+        ("MOD(11, -4)", 3),
+        ("MOD(-11, -4)", -3),
+        ("MOD(-11.5, 4)", Decimal("-3.5")),
+        ("MOD(11.5, -4)", Decimal("3.5")),
+        ("MOD(7, 0)", 7),
+        ("MOD(-7.5, 0)", Decimal("-7.5")),
+        ("MOD(NULL, 0)", None),
+        ("MOD(7, NULL)", None),
+    ])
+    def test_value(self, t, call, expected):
+        value = t.execute(f"SELECT {call} FROM t WHERE t.n = 1").scalar()
+        assert value == expected
+        assert type(value) is type(expected)
+
+    def test_column_divisor_of_zero_returns_the_dividend(self, t):
+        rows = t.execute("SELECT t.n, MOD(t.n, t.n - t.n) FROM t"
+                         " WHERE t.n IS NOT NULL ORDER BY t.n").rows
+        assert rows == [(n, n) for n in (1, 2, 3)]
+
+    @pytest.mark.parametrize("call", ["MOD(7, 2, 3)", "MOD(7)"])
+    def test_arity(self, t, call):
+        with pytest.raises(NotSupported, match="MOD"):
+            t.execute(f"SELECT {call} FROM t WHERE t.n = 1")
 
 
 class TestLikeCache:

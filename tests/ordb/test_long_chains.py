@@ -123,3 +123,35 @@ def test_explain_renders_an_arithmetic_chain(numbers):
     total = " + ".join(["n.a"] * TERMS)
     plan = numbers.execute(f"EXPLAIN SELECT {total} FROM n")
     assert any(total in str(cell) for row in plan.rows for cell in row)
+
+
+# -- deep chains under grouping and ordering ----------------------------------------------
+
+DEEP = 3_000  # each probe raised RecursionError while this was hashed
+
+
+def test_chain_grouped_with_its_column(numbers):
+    chain = " + ".join(["n.a"] * DEEP)
+    rows = numbers.execute(
+        f"SELECT n.g, {chain} FROM n GROUP BY n.g, n.a").rows
+    assert sorted(rows) == [(1, 10 * DEEP), (2, 20 * DEEP),
+                            (2, 30 * DEEP)]
+
+
+def test_chain_with_an_aggregate_in_having(numbers):
+    chain = " + ".join(["n.g"] * DEEP)
+    rows = numbers.execute(
+        f"SELECT n.g, COUNT(*) FROM n GROUP BY n.g"
+        f" HAVING {chain} + COUNT(*) > {DEEP + 1}").rows
+    assert rows == [(2, 2)]
+
+
+@pytest.mark.parametrize("direction, order", [("", [10, 20, 30]),
+                                              (" DESC", [30, 20, 10])])
+def test_order_by_a_repeated_chain(numbers, direction, order):
+    chain = " + ".join(["n.a"] * DEEP)
+    rows = numbers.execute(
+        f"SELECT n.g, {chain} FROM n ORDER BY {chain}{direction}").rows
+    assert [total for _g, total in rows] == [a * DEEP for a in order]
+    assert [g for g, _total in rows] == [1 if a == 10 else 2
+                                         for a in order]
